@@ -14,6 +14,9 @@ namespace {
 constexpr sim::SimTime kNeverSuspected =
     std::numeric_limits<sim::SimTime>::min();
 constexpr std::size_t kAckBytes = 64;  // Ack / NACK / Replication Response
+constexpr std::size_t kSyncMaxChunks = 512;  // chunks pulled per exchange
+constexpr std::size_t kRecoveryPeers = 3;    // digest peers per recovery
+constexpr int kRebalanceMaxAttempts = 3;     // warm tries, then flip cold
 }  // namespace
 
 StashCluster::Node::Node(NodeId node_id, const StashConfig& stash_config,
@@ -173,7 +176,6 @@ StashCluster::StashCluster(ClusterConfig config,
              !config_.fault_plan.joins.empty() ||
              !config_.fault_plan.decommissions.empty() ||
              config_.autoscale.enabled;
-  store_.set_verify_checksums(config_.verify_checksums);
   // Validate scripted bit-rot targets eagerly: a bad partition key should
   // fail construction, not throw from inside the event loop at fire time.
   for (const auto& event : config_.fault_plan.bitrot) {
@@ -694,10 +696,20 @@ ClusterMetrics StashCluster::metrics() const {
   return m;
 }
 
+template <typename Write>
+void StashCluster::write_graphs(Node& node, Write&& write) {
+  if (node.exec_engine)
+    node.exec_engine->with_exclusive_graph(std::forward<Write>(write));
+  else
+    write();
+}
+
 void StashCluster::wipe_node(NodeId id) {
   Node& node = *nodes_[id];
-  node.graph.clear();
-  node.guest_graph.clear();
+  write_graphs(node, [&node] {
+    node.graph.clear();
+    node.guest_graph.clear();
+  });
   node.routing.clear();
   node.server.reset();
   node.maintenance.reset();
@@ -719,10 +731,9 @@ void StashCluster::recover_node(NodeId id) {
   start_recovery(id);
 }
 
-std::vector<StashCluster::DigestEntry> StashCluster::recovery_digest(
-    NodeId holder, NodeId owner) const {
+std::vector<StashCluster::DigestEntry> StashCluster::sync_digest(
+    NodeId holder, const std::vector<std::string>& partitions) const {
   std::vector<DigestEntry> out;
-  const auto partitions = dht_.partitions_of(owner);
   const Node& node = *nodes_[holder];
   const auto covers = [&](const std::string& prefix) {
     for (const auto& p : partitions) {
@@ -754,6 +765,125 @@ std::vector<StashCluster::DigestEntry> StashCluster::recovery_digest(
   return out;
 }
 
+void StashCluster::sync_chunks(
+    NodeId holder, NodeId puller,
+    std::function<std::vector<std::string>()> scope, bool background,
+    std::function<bool()> current, std::function<void()> done) {
+  const auto live = [current] { return !current || current(); };
+  // Digest Request: puller -> holder.  Unguarded — the holder just answers.
+  send_message(puller, holder, config_.request_bytes, [=, this] {
+    // The scope is read on arrival: a recovering node's partitions are
+    // whatever the ring says when the holder builds the digest.
+    const auto digest = std::make_shared<std::vector<DigestEntry>>(
+        sync_digest(holder, scope()));
+    // Digest Response: one (level, chunk, content-hash) triple per entry.
+    const std::size_t bytes = config_.request_bytes + 24 * digest->size();
+    send_message(holder, puller, bytes, [=, this] {
+      if (!live()) return;
+      counters_.digests_exchanged.inc();
+      Node& local = *nodes_[puller];
+      // Diff against the local graph's content digests.  Pull a chunk this
+      // node does not hold at all; when BOTH sides hold it complete but the
+      // digests disagree, the local copy diverged or rotted — drop it and
+      // re-pull, never trust it.  A locally partial chunk is left alone:
+      // absorb's idempotence guard would reject the overlapping days.
+      auto wanted =
+          std::make_shared<std::vector<std::pair<Resolution, ChunkKey>>>();
+      for (const auto& entry : *digest) {
+        if (wanted->size() >= kSyncMaxChunks) break;
+        const std::uint64_t local_hash =
+            local.graph.chunk_digest(entry.res, entry.chunk);
+        if (local_hash == entry.hash) continue;  // same coverage + content
+        if (local_hash != 0) {
+          if (!local.graph.chunk_complete(entry.res, entry.chunk))
+            continue;  // partial: skip
+          write_graphs(local, [&] {
+            local.graph.drop_chunk(entry.res, entry.chunk);
+          });
+          counters_.replica_divergences.inc();
+        }
+        wanted->emplace_back(entry.res, entry.chunk);
+      }
+      if (wanted->empty()) {
+        if (done) done();  // already in sync
+        return;
+      }
+      // Chunk Pull Request: names exactly the wanted complete chunks.
+      const std::size_t req_bytes = config_.request_bytes + 16 * wanted->size();
+      send_message(puller, holder, req_bytes, [=, this] {
+        if (!live()) return;
+        // Ship from the local graph first, then whatever only the guest
+        // graph holds complete.
+        const Node& source = *nodes_[holder];
+        std::vector<ChunkContribution> payload;
+        std::set<std::pair<int, ChunkKey>> shipped;
+        for (const StashGraph* graph : {&source.graph, &source.guest_graph}) {
+          std::vector<std::pair<Resolution, ChunkKey>> rest;
+          for (const auto& [res, chunk] : *wanted)
+            if (!shipped.contains({level_index(res), chunk}))
+              rest.emplace_back(res, chunk);
+          for (auto& c : chunk_payload(*graph, rest)) {
+            shipped.insert({level_index(c.res), c.chunk});
+            payload.push_back(std::move(c));
+          }
+        }
+        if (payload.empty()) {
+          // The holder lost the chunks meanwhile: Ack "nothing" so a
+          // caller waiting on `done` is not left to its deadline.
+          if (!done) return;
+          send_message(
+              holder, puller, kAckBytes,
+              [live, done] {
+                if (live()) done();
+              },
+              background);
+          return;
+        }
+        replicate(holder, puller, payload, &Node::graph, background, current,
+                  [this, done](std::uint64_t chunks, std::uint64_t cells) {
+                    counters_.chunks_rewarmed.inc(chunks);
+                    counters_.cells_rewarmed.inc(cells);
+                    if (done) done();
+                  });
+      }, background);
+    }, background);
+  }, background);
+}
+
+void StashCluster::replicate(
+    NodeId from, NodeId to, const std::vector<ChunkContribution>& payload,
+    StashGraph Node::*into, bool background, std::function<bool()> current,
+    std::function<void(std::uint64_t, std::uint64_t)> then) {
+  // Replication Request inside a checksummed frame: a bit-flip or tear en
+  // route is detected and redelivered, never absorbed.
+  send_frame(
+      from, to, codec::encode_replication_frame(payload),
+      [this, to, into, current = std::move(current),
+       then = std::move(then)](codec::Buffer&& verified) {
+        if (current && !current()) return;
+        std::vector<ChunkContribution> contributions;
+        try {
+          contributions = codec::decode_replication_payload(verified);
+        } catch (const std::exception&) {
+          // Checksum-valid but structurally bad: a sender-side encoding
+          // bug, not line noise.  Quarantine (drop), never absorb garbage.
+          counters_.poison_messages.inc();
+          return;
+        }
+        Node& node = *nodes_[to];
+        std::uint64_t chunks = 0, cells = 0;
+        write_graphs(node, [&] {
+          for (const auto& c : contributions) {
+            if ((node.*into).absorb(c, loop_.now()) == 0) continue;
+            ++chunks;
+            cells += c.cells.size();
+          }
+        });
+        then(chunks, cells);
+      },
+      background, config_.max_redeliveries);
+}
+
 void StashCluster::start_recovery(NodeId id) {
   if (!config_.recovery || !fault_.alive(id)) return;
   if (loop_.now() - last_recovery_[id] < config_.recovery_cooldown) return;
@@ -766,7 +896,7 @@ void StashCluster::start_recovery(NodeId id) {
   for (NodeId peer = 0; peer < nodes_.size(); ++peer)
     if (peer != id && !membership_->usable(id, peer))
       node.routing.drop_helper(peer);
-  // Digest peers: the first recovery_peers nodes along this node's ring
+  // Digest peers: the first kRecoveryPeers nodes along this node's ring
   // successor chain.  Whichever of them the front-end failed over to
   // served (and cached) this node's partitions while it was gone; the
   // rejoining node cannot know which — front-end reachability during the
@@ -777,118 +907,16 @@ void StashCluster::start_recovery(NodeId id) {
   // truly dead peer just goes unanswered — recovery is fire-and-forget.
   // Successors come from the installed ring, so recovery keeps working
   // across epoch changes (a decommissioned slot is simply never a peer).
-  std::vector<NodeId> peers;
+  std::size_t asked = 0;
   const std::size_t ring_size = dht_.ring().members.size();
-  for (std::uint32_t k = 0;
-       k + 1 < ring_size && peers.size() < config_.recovery_peers; ++k) {
+  for (std::uint32_t k = 0; k + 1 < ring_size && asked < kRecoveryPeers; ++k) {
     const NodeId peer = dht_.successor_of_node(id, k);
-    if (peer != id) peers.push_back(peer);
+    if (peer == id) continue;
+    ++asked;
+    sync_chunks(
+        peer, id, [this, id] { return dht_.partitions_of(id); },
+        /*background=*/false, /*current=*/{}, /*done=*/{});
   }
-  for (const NodeId peer : peers) {
-    // Digest Request: rejoining node -> replica holder.
-    send_message(id, peer, config_.request_bytes, [this, id, peer] {
-      const auto digest = std::make_shared<std::vector<DigestEntry>>(
-          recovery_digest(peer, id));
-      // Digest Response: one (level, chunk, bitmap-hash) triple per entry.
-      const std::size_t bytes = config_.request_bytes + 24 * digest->size();
-      send_message(peer, id, bytes, [this, id, peer, digest] {
-        counters_.digests_exchanged.inc();
-        Node& local = *nodes_[id];
-        // Diff against the local graph's content digests.  Pull a chunk
-        // this node does not hold at all; when BOTH sides hold it complete
-        // but the digests disagree, the local copy diverged or rotted —
-        // quarantine it (drop) and re-pull, never trust it.  A locally
-        // partial chunk is left alone: absorb's idempotence guard would
-        // reject the overlapping days anyway.
-        auto wanted = std::make_shared<
-            std::vector<std::pair<Resolution, ChunkKey>>>();
-        for (const auto& entry : *digest) {
-          if (wanted->size() >= config_.recovery_max_chunks) break;
-          const std::uint64_t local_hash =
-              local.graph.chunk_digest(entry.res, entry.chunk);
-          if (local_hash == entry.hash) continue;  // same coverage + content
-          if (local_hash != 0) {
-            if (!local.graph.chunk_complete(entry.res, entry.chunk))
-              continue;  // partial: skip
-            local.graph.drop_chunk(entry.res, entry.chunk);
-            counters_.replica_divergences.inc();
-          }
-          wanted->emplace_back(entry.res, entry.chunk);
-        }
-        if (wanted->empty()) return;
-        // Chunk Pull Request: names exactly the missing complete chunks.
-        const std::size_t req_bytes =
-            config_.request_bytes + 16 * wanted->size();
-        send_message(id, peer, req_bytes, [this, id, peer, wanted] {
-          Node& holder = *nodes_[peer];
-          auto payload = chunk_payload(holder.graph, *wanted);
-          std::set<std::pair<int, ChunkKey>> shipped;
-          for (const auto& c : payload)
-            shipped.insert({level_index(c.res), c.chunk});
-          std::vector<std::pair<Resolution, ChunkKey>> rest;
-          for (const auto& [res, chunk] : *wanted)
-            if (!shipped.contains({level_index(res), chunk}))
-              rest.emplace_back(res, chunk);
-          for (auto& c : chunk_payload(holder.guest_graph, rest))
-            payload.push_back(std::move(c));
-          if (payload.empty()) return;
-          codec::Buffer wire = codec::encode_replication_frame(payload);
-          // Re-warm shipment rides the checksummed Replication frame path
-          // (same wire format as hotspot handoff): a corrupted transfer is
-          // detected and redelivered instead of poisoning the rejoining
-          // node's cache.
-          send_frame(
-              peer, id, std::move(wire),
-              [this, id](codec::Buffer&& verified) {
-                Node& rejoined = *nodes_[id];
-                std::vector<ChunkContribution> contributions;
-                try {
-                  contributions = codec::decode_replication_payload(verified);
-                } catch (const std::exception&) {
-                  counters_.poison_messages.inc();
-                  return;
-                }
-                std::uint64_t chunks = 0, cells = 0;
-                for (const auto& c : contributions) {
-                  if (rejoined.graph.absorb(c, loop_.now()) == 0) continue;
-                  ++chunks;
-                  cells += c.cells.size();
-                }
-                counters_.chunks_rewarmed.inc(chunks);
-                counters_.cells_rewarmed.inc(cells);
-              },
-              /*background=*/false, config_.max_redeliveries);
-        });
-      });
-    });
-  }
-}
-
-std::vector<StashCluster::DigestEntry> StashCluster::partition_digest(
-    NodeId holder, const std::string& partition) const {
-  std::vector<DigestEntry> out;
-  const Node& node = *nodes_[holder];
-  const auto covers = [&](const std::string& prefix) {
-    return prefix.size() >= partition.size()
-               ? prefix.compare(0, partition.size(), partition) == 0
-               : partition.compare(0, prefix.size(), prefix) == 0;
-  };
-  std::set<std::pair<int, ChunkKey>> seen;
-  const auto collect = [&](const StashGraph& graph) {
-    for (int lvl = 0; lvl < kNumLevels; ++lvl) {
-      const Resolution res = resolution_of_level(lvl);
-      graph.for_each_chunk(
-          res, [&](const ChunkKey& key, const StashGraph::ChunkData&) {
-            if (!covers(key.prefix_str())) return;
-            if (!graph.chunk_complete(res, key)) return;
-            if (!seen.insert({lvl, key}).second) return;
-            out.push_back({res, key, graph.chunk_digest(res, key)});
-          });
-    }
-  };
-  collect(node.graph);
-  collect(node.guest_graph);
-  return out;
 }
 
 // --- elastic membership & ring rebalancing -------------------------------
@@ -915,6 +943,11 @@ bool StashCluster::move_current(const std::string& partition,
   const auto it = moves_.find(partition);
   return it != moves_.end() && it->second.epoch == epoch &&
          it->second.attempt == attempt;
+}
+
+bool StashCluster::has_inbound_move(NodeId id) const {
+  return std::any_of(moves_.begin(), moves_.end(),
+                     [id](const auto& entry) { return entry.second.to == id; });
 }
 
 bool StashCluster::rebalance_in_progress() const {
@@ -1053,19 +1086,9 @@ void StashCluster::advance_epoch(std::vector<NodeId> members) {
   // A leaver that owned nothing (or whose every move was superseded into
   // a no-op) finishes right away; likewise a joiner with no inbound moves
   // is fully admitted.
-  for (auto it = joining_.begin(); it != joining_.end();) {
-    const NodeId j = *it;
-    bool inbound = false;
-    for (const auto& [p, m] : moves_)
-      if (m.to == j) {
-        inbound = true;
-        break;
-      }
-    if (dht_.ring().contains(j) && !inbound)
-      it = joining_.erase(it);
-    else
-      ++it;
-  }
+  std::erase_if(joining_, [this](NodeId j) {
+    return dht_.ring().contains(j) && !has_inbound_move(j);
+  });
   const std::vector<NodeId> leavers(leaving_.begin(), leaving_.end());
   for (const NodeId l : leavers) maybe_finish_decommission(l);
 }
@@ -1098,134 +1121,29 @@ void StashCluster::start_move(const std::string& partition) {
       }
   }
   if (donor == to || !fault_.alive(to)) return;  // deadline path owns this
-  // Kickoff: front-end -> new owner -> donor digest -> diff -> pull ->
-  // checksummed frame -> absorb -> done report.  Same shape (and the same
-  // counters) as anti-entropy recovery, scoped to one partition.
+  // Kickoff: front-end -> new owner, then the shared digest/pull/frame
+  // exchange scoped to this one partition.  Every continuation checks the
+  // (epoch, attempt) tag, and the done report goes back to the front-end —
+  // also when there was nothing warm to pull (cold partition, or already
+  // in sync): the handoff is then complete as-is.
   send_message(
       sim::kFrontendNode, to, config_.request_bytes,
       [this, partition, epoch, attempt, donor, to] {
         if (!move_current(partition, epoch, attempt)) return;
-        send_message(
-            to, donor, config_.request_bytes,
-            [this, partition, epoch, attempt, donor, to] {
-              const auto digest = std::make_shared<std::vector<DigestEntry>>(
-                  partition_digest(donor, partition));
-              const std::size_t bytes =
-                  config_.request_bytes + 24 * digest->size();
+        sync_chunks(
+            donor, to, [partition] { return std::vector{partition}; },
+            /*background=*/true,
+            [this, partition, epoch, attempt] {
+              return move_current(partition, epoch, attempt);
+            },
+            [this, partition, epoch, attempt, to] {
               send_message(
-                  donor, to, bytes,
-                  [this, partition, epoch, attempt, donor, to, digest] {
-                    if (!move_current(partition, epoch, attempt)) return;
-                    counters_.digests_exchanged.inc();
-                    Node& local = *nodes_[to];
-                    auto wanted = std::make_shared<
-                        std::vector<std::pair<Resolution, ChunkKey>>>();
-                    for (const auto& entry : *digest) {
-                      if (wanted->size() >= config_.rebalance_max_chunks)
-                        break;
-                      const std::uint64_t local_hash =
-                          local.graph.chunk_digest(entry.res, entry.chunk);
-                      if (local_hash == entry.hash) continue;
-                      if (local_hash != 0) {
-                        if (!local.graph.chunk_complete(entry.res,
-                                                        entry.chunk))
-                          continue;  // partial: absorb's guard protects it
-                        local.graph.drop_chunk(entry.res, entry.chunk);
-                        counters_.replica_divergences.inc();
-                      }
-                      wanted->emplace_back(entry.res, entry.chunk);
-                    }
-                    if (wanted->empty()) {
-                      // Nothing warm to pull (cold partition, or already
-                      // in sync): the handoff is complete as-is.
-                      send_message(
-                          to, sim::kFrontendNode, kAckBytes,
-                          [this, partition, epoch, attempt] {
-                            complete_move(partition, epoch, attempt);
-                          },
-                          /*background=*/true);
-                      return;
-                    }
-                    const std::size_t req_bytes =
-                        config_.request_bytes + 16 * wanted->size();
-                    send_message(
-                        to, donor, req_bytes,
-                        [this, partition, epoch, attempt, donor, to, wanted] {
-                          if (!move_current(partition, epoch, attempt))
-                            return;
-                          Node& holder = *nodes_[donor];
-                          auto payload = chunk_payload(holder.graph, *wanted);
-                          std::set<std::pair<int, ChunkKey>> shipped;
-                          for (const auto& c : payload)
-                            shipped.insert({level_index(c.res), c.chunk});
-                          std::vector<std::pair<Resolution, ChunkKey>> rest;
-                          for (const auto& [res, chunk] : *wanted)
-                            if (!shipped.contains({level_index(res), chunk}))
-                              rest.emplace_back(res, chunk);
-                          for (auto& c :
-                               chunk_payload(holder.guest_graph, rest))
-                            payload.push_back(std::move(c));
-                          if (payload.empty()) {
-                            send_message(
-                                donor, to, kAckBytes,
-                                [this, partition, epoch, attempt, to] {
-                                  if (!move_current(partition, epoch,
-                                                    attempt))
-                                    return;
-                                  send_message(
-                                      to, sim::kFrontendNode, kAckBytes,
-                                      [this, partition, epoch, attempt] {
-                                        complete_move(partition, epoch,
-                                                      attempt);
-                                      },
-                                      /*background=*/true);
-                                },
-                                /*background=*/true);
-                            return;
-                          }
-                          codec::Buffer wire =
-                              codec::encode_replication_frame(payload);
-                          send_frame(
-                              donor, to, std::move(wire),
-                              [this, partition, epoch, attempt,
-                               to](codec::Buffer&& verified) {
-                                if (!move_current(partition, epoch, attempt))
-                                  return;
-                                Node& target = *nodes_[to];
-                                std::vector<ChunkContribution> contributions;
-                                try {
-                                  contributions =
-                                      codec::decode_replication_payload(
-                                          verified);
-                                } catch (const std::exception&) {
-                                  counters_.poison_messages.inc();
-                                  return;  // deadline path retries
-                                }
-                                std::uint64_t chunks = 0, cells = 0;
-                                for (const auto& c : contributions) {
-                                  if (target.graph.absorb(c, loop_.now()) ==
-                                      0)
-                                    continue;
-                                  ++chunks;
-                                  cells += c.cells.size();
-                                }
-                                counters_.chunks_rewarmed.inc(chunks);
-                                counters_.cells_rewarmed.inc(cells);
-                                send_message(
-                                    to, sim::kFrontendNode, kAckBytes,
-                                    [this, partition, epoch, attempt] {
-                                      complete_move(partition, epoch,
-                                                    attempt);
-                                    },
-                                    /*background=*/true);
-                              },
-                              /*background=*/true, config_.max_redeliveries);
-                        },
-                        /*background=*/true);
+                  to, sim::kFrontendNode, kAckBytes,
+                  [this, partition, epoch, attempt] {
+                    complete_move(partition, epoch, attempt);
                   },
                   /*background=*/true);
-            },
-            /*background=*/true);
+            });
       },
       /*background=*/true);
 }
@@ -1239,7 +1157,7 @@ void StashCluster::on_move_deadline(const std::string& partition,
   // A deregistered target is a reverting joiner: hold the handoff (old
   // owner keeps serving) until the watcher advances the epoch past it.
   if (!membership_->is_registered(move.to)) return;
-  if (move.attempt + 1 < config_.rebalance_max_attempts) {
+  if (move.attempt + 1 < kRebalanceMaxAttempts) {
     ++move.attempt;
     start_move(partition);
     return;
@@ -1262,15 +1180,8 @@ void StashCluster::flip_move(const std::string& partition) {
   if (move.deadline_timer != 0) loop_.cancel(move.deadline_timer);
   moves_.erase(it);  // THE flip: routing now reads the installed ring
   counters_.rebalance_partitions_moved.inc();
-  if (joining_.contains(move.to)) {
-    bool inbound = false;
-    for (const auto& [p, m] : moves_)
-      if (m.to == move.to) {
-        inbound = true;
-        break;
-      }
-    if (!inbound) joining_.erase(move.to);  // fully admitted
-  }
+  if (joining_.contains(move.to) && !has_inbound_move(move.to))
+    joining_.erase(move.to);  // fully admitted
   if (leaving_.contains(move.from)) maybe_finish_decommission(move.from);
 }
 
@@ -2365,28 +2276,13 @@ void StashCluster::send_distress(NodeId hot_id, Clique clique, int attempt) {
               const auto payload = clique_payload(hot_node.graph, clique);
               std::size_t cells = 0;
               for (const auto& c : payload) cells += c.cells.size();
-              codec::Buffer wire = codec::encode_replication_frame(payload);
-              // Replication Request: hot -> helper, inside a checksummed
-              // frame — a bit-flip or tear en route is detected and
-              // redelivered, never absorbed into the guest graph.
-              send_frame(
-                  hot_id, target, std::move(wire),
+              // Replication Request: hot -> helper, absorbed into the
+              // helper's guest graph.
+              replicate(
+                  hot_id, target, payload, &Node::guest_graph,
+                  /*background=*/false, /*current=*/{},
                   [this, hot_id, target, clique = std::move(clique), cells,
-                   settled, settle](codec::Buffer&& bytes) mutable {
-                    Node& helper_node = *nodes_[target];
-                    std::vector<ChunkContribution> contributions;
-                    try {
-                      contributions =
-                          codec::decode_replication_payload(bytes);
-                    } catch (const std::exception&) {
-                      // Checksum-valid but structurally bad: a sender-side
-                      // encoding bug, not line noise.  Quarantine (drop),
-                      // never absorb garbage.
-                      counters_.poison_messages.inc();
-                      return;
-                    }
-                    for (const auto& contribution : contributions)
-                      helper_node.guest_graph.absorb(contribution, loop_.now());
+                   settled, settle](std::uint64_t, std::uint64_t) mutable {
                     counters_.cliques_replicated.inc();
                     counters_.cells_replicated.inc(cells);
                     // Replication Response: helper -> hot populates the
@@ -2402,8 +2298,7 @@ void StashCluster::send_distress(NodeId hot_id, Clique clique, int attempt) {
                             hot_after.routing.add(member.res, member.chunk,
                                                   target, loop_.now());
                         });
-                  },
-                  /*background=*/false, config_.max_redeliveries);
+                  });
             });
       });
 }
@@ -2573,8 +2468,10 @@ std::size_t StashCluster::preload(const AggregationQuery& query) {
 
 void StashCluster::clear_caches() {
   for (auto& node : nodes_) {
-    node->graph.clear();
-    node->guest_graph.clear();
+    write_graphs(*node, [&node] {
+      node->graph.clear();
+      node->guest_graph.clear();
+    });
     node->routing.purge(loop_.now() + config_.stash.routing_ttl * 2,
                         config_.stash.routing_ttl);
   }
@@ -2582,10 +2479,11 @@ void StashCluster::clear_caches() {
 
 void StashCluster::invalidate_block(const std::string& partition,
                                     std::int64_t day) {
-  for (auto& node : nodes_) {
-    node->graph.invalidate_block(partition, day);
-    node->guest_graph.invalidate_block(partition, day);
-  }
+  for (auto& node : nodes_)
+    write_graphs(*node, [&] {
+      node->graph.invalidate_block(partition, day);
+      node->guest_graph.invalidate_block(partition, day);
+    });
 }
 
 std::uint64_t StashCluster::ingest_update(const std::string& partition,

@@ -144,11 +144,6 @@ struct ClusterConfig {
   /// latency optimisation — correctness never depends on it (the durable
   /// store remains the truth).
   bool recovery = true;
-  /// Cap on chunks pulled back per digest exchange (bounds the transfer).
-  std::size_t recovery_max_chunks = 512;
-  /// Digest peers consulted per recovery round (ring successors of the
-  /// node's partitions, deduped).
-  std::size_t recovery_peers = 3;
   /// Minimum spacing between anti-entropy rounds for one node.
   sim::SimTime recovery_cooldown = 1 * sim::kSecond;
 
@@ -181,11 +176,6 @@ struct ClusterConfig {
   bool degraded_answers = true;
 
   // --- end-to-end data integrity ---
-  /// Verify per-block checksums on every storage scan.  A rotted block is
-  /// detected, quarantined, and its records withheld (the query completes
-  /// as an honest partial); off serves silently-wrong records — only for
-  /// demonstrating the baseline checksums exist to prevent.
-  bool verify_checksums = true;
   /// Background scrubber period (0 = off).  Each tick verifies the block
   /// table, repairs quarantined blocks from pristine data, and walks one
   /// node's chunk digests against its ring successors over the
@@ -243,13 +233,10 @@ struct ClusterConfig {
   /// epoch advances (debounces gossip churn mid-convergence).
   sim::SimTime ring_stabilize_delay = 400 * sim::kMillisecond;
   /// Deadline for one warm-transfer attempt of one moved partition; on
-  /// expiry the attempt aborts and is retried (fresh attempt tag).
+  /// expiry the attempt aborts and is retried (fresh attempt tag) — three
+  /// attempts, then the partition flips cold (the new owner serves from
+  /// durable storage; warmth rebuilds on demand).
   sim::SimTime rebalance_transfer_deadline = 2 * sim::kSecond;
-  /// Warm-transfer attempts per moved partition before flipping cold (the
-  /// new owner serves from durable storage; warmth rebuilds on demand).
-  int rebalance_max_attempts = 3;
-  /// Cap on chunks pulled per moved partition (bounds each transfer).
-  std::size_t rebalance_max_chunks = 512;
   /// Metrics-driven scale-out/scale-in (inert by default).
   AutoscalePolicy autoscale;
 };
@@ -540,7 +527,8 @@ class StashCluster {
     QueryEngine guest_engine;
     /// Wall-clock parallel datapath over the same graph+store (set when
     /// ClusterConfig::exec_threads > 0).  The serve and maintenance paths
-    /// route through it so graph reads/writes stay under its RwSpinlock.
+    /// route through it, and every other graph write takes its writer lock
+    /// (write_graphs), so graph reads/writes stay under its RwSpinlock.
     std::unique_ptr<exec::ParallelQueryEngine> exec_engine;
     RoutingTable routing;
     sim::SimServer server;
@@ -719,16 +707,41 @@ class StashCluster {
   /// One scrubber pass: storage verify + repair, then one round-robin
   /// anti-entropy digest walk.  Self-reschedules when scrub_interval > 0.
   void scrub_tick(bool reschedule);
-  /// One anti-entropy round: drops unusable routing entries, then digest
-  /// exchange + chunk pull against replica-holding ring successors.
+  /// One anti-entropy round: drops unusable routing entries, then one
+  /// sync_chunks exchange with each replica-holding ring successor.
   void start_recovery(NodeId id);
   /// Complete-chunk digest of `holder`'s graphs (local + guest) restricted
-  /// to the partitions `owner` owns — the anti-entropy comparison unit.
-  [[nodiscard]] std::vector<DigestEntry> recovery_digest(NodeId holder,
-                                                         NodeId owner) const;
-  /// Same digest restricted to one partition (the rebalance transfer unit).
-  [[nodiscard]] std::vector<DigestEntry> partition_digest(
-      NodeId holder, const std::string& partition) const;
+  /// to `partitions` — the anti-entropy comparison unit.
+  [[nodiscard]] std::vector<DigestEntry> sync_digest(
+      NodeId holder, const std::vector<std::string>& partitions) const;
+  /// The one chunk-sync exchange behind anti-entropy recovery and warm
+  /// rebalance transfer: `puller` asks `holder` for a digest of its
+  /// complete chunks within `scope()` (read when the request reaches the
+  /// holder), drops local complete chunks whose content digest disagrees,
+  /// pulls what it lacks, and absorbs the checksummed frame.  `current`
+  /// (empty = always) is the staleness guard, checked on the digest
+  /// response, the pull request, the empty-payload Ack and the frame.
+  /// `done` (may be empty) runs once the puller is in sync; only when it is
+  /// set does an empty pull send that Ack back.
+  void sync_chunks(NodeId holder, NodeId puller,
+                   std::function<std::vector<std::string>()> scope,
+                   bool background, std::function<bool()> current,
+                   std::function<void()> done);
+  /// Replication Request leg shared by chunk sync and clique replication:
+  /// ships `payload` in a checksummed Replication frame and, on arrival
+  /// (if `current` still holds), decodes and absorbs it into `to`'s `into`
+  /// graph, then calls `then(chunks, cells)` with what absorb took.  An
+  /// undecodable frame counts as poison and ends the chain.
+  void replicate(NodeId from, NodeId to,
+                 const std::vector<ChunkContribution>& payload,
+                 StashGraph Node::*into, bool background,
+                 std::function<bool()> current,
+                 std::function<void(std::uint64_t, std::uint64_t)> then);
+  /// Every direct write to a node's local graph — the one its exec engine
+  /// reads — goes through here: under the engine's writer lock when one
+  /// exists, so deadline-cut straggler chunks never read it mid-write.
+  template <typename Write>
+  void write_graphs(Node& node, Write&& write);
   // --- elastic membership & ring rebalancing ---
   /// Arms the ring watcher (and autoscaler, if enabled) exactly once.
   /// Called from the ctor for elastic configs, and lazily from
@@ -745,11 +758,11 @@ class StashCluster {
   /// partition whose serving owner changes; supersedes any in-flight moves.
   void advance_epoch(std::vector<NodeId> members);
   /// Starts (or retries) the warm transfer for one moved partition: the
-  /// new owner pulls complete chunks from a live donor over the
-  /// anti-entropy digest/pull path, then reports done to the front-end.
+  /// new owner pulls complete chunks from a live donor through
+  /// sync_chunks, then reports done to the front-end.
   void start_move(const std::string& partition);
   /// Transfer deadline: aborts the attempt and retries, or flips cold
-  /// after rebalance_max_attempts.
+  /// after the last attempt.
   void on_move_deadline(const std::string& partition, std::uint64_t epoch,
                         int attempt);
   /// Front-end receipt of a completed transfer: the atomic flip.
@@ -759,6 +772,8 @@ class StashCluster {
   /// live move?  Every transfer continuation checks before acting.
   [[nodiscard]] bool move_current(const std::string& partition,
                                   std::uint64_t epoch, int attempt) const;
+  /// Does any unflipped move still target `id`?
+  [[nodiscard]] bool has_inbound_move(NodeId id) const;
   /// Shared flip bookkeeping (warm or cold): erase the handoff record,
   /// count it, and settle any decommission/join waiting on it.
   void flip_move(const std::string& partition);

@@ -1,12 +1,12 @@
 // Reader-writer spinlock on a single catomic word, with clang
 // thread-safety annotations.
 //
-// Drop-in shaped like common/thread_annotations.hpp's SharedMutex so the
-// ConcurrentStashGraph guard pattern (one annotated capability, shared
-// reads / exclusive writes) can move off std::shared_mutex when the
-// parallel datapath needs a spin-class lock.  The model checker verifies
-// the guard protocol itself — mutual exclusion and reader/writer
-// happens-before — in tests/mc/graph_guard_mc_test.cpp, something the
+// Drop-in shaped like common/thread_annotations.hpp's SharedMutex: the one
+// annotated capability ParallelQueryEngine guards its graph with (shared
+// reads by chunk evaluations, exclusive writes by absorb and the graph's
+// owner).  The model checker verifies the guard protocol itself — mutual
+// exclusion and reader/writer happens-before — in
+// tests/mc/graph_guard_mc_test.cpp, something the
 // thread-safety annotations cannot express (they check acquisition
 // discipline, not memory ordering).
 //

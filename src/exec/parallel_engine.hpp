@@ -24,7 +24,8 @@
 // partition it belongs to is reported incomplete, never std::terminate.
 //
 // Locking: workers take the RwSpinlock shared while evaluating (const
-// graph reads + Galileo scans); absorb() — the maintenance pass — takes
+// graph reads + Galileo scans); absorb() — the maintenance pass — and
+// with_exclusive_graph() — every other write by the graph's owner — take
 // it exclusive.  Tasks flow through the WorkerPool's MpmcRings; the
 // submitting thread parks on a per-batch WakeupGate until the last chunk
 // lands or the deadline fires (commit_wait_until).
@@ -35,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "concurrency/rw_spinlock.hpp"
@@ -136,7 +138,16 @@ class ParallelQueryEngine {
 
   /// Maintenance pass under the exclusive graph lock.
   MaintenanceStats absorb(const Evaluation& eval, const Resolution& res,
-                          sim::SimTime now);
+                          sim::SimTime now) STASH_EXCLUDES(graph_lock_);
+
+  /// Runs `write` under the exclusive graph lock: how the graph's owner
+  /// mutates it directly (wipe, invalidation, anti-entropy drop/absorb)
+  /// while a deadline-cut batch's straggler chunks may still be reading.
+  template <typename Write>
+  void with_exclusive_graph(Write&& write) STASH_EXCLUDES(graph_lock_) {
+    concurrency::RwSpinWriterLock lock(graph_lock_);
+    std::forward<Write>(write)();
+  }
 
   [[nodiscard]] std::size_t worker_count() const {
     return pool_.worker_count();

@@ -6,7 +6,7 @@
 // gauges, and fixed-bucket histograms:
 //
 //   * increments are lock-free (relaxed atomics) — safe on the hot query
-//     path and from the real threads of ConcurrentStashGraph clients;
+//     path and from the worker threads of the wall-clock engine;
 //   * registration and snapshot/export take the registry mutex — cold
 //     paths only;
 //   * exports are deterministic: metrics are emitted in sorted name

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/civil_time.hpp"
+#include "geo/geohash.hpp"
 #include "obs/metrics.hpp"
 
 namespace stash::cluster {
@@ -178,6 +179,35 @@ TEST(ExecClusterTest, ExecDeadlineDegradesInsteadOfHanging) {
     if (s.name == "stash_exec_deadline_exceeded_total")
       deadline_exceeded = s.value;
   EXPECT_GT(deadline_exceeded, 0.0);
+}
+
+TEST(ExecClusterTest, GraphWritesWaitForDeadlineStragglers) {
+  // The setup above, but only half the chunks stall: every batch is still
+  // cut by its 1 ms deadline, and the unstalled chunks that passed their
+  // cancellation check go on reading the node graph after run_query
+  // returns.  (With every chunk stalled, each straggler sees the cancelled
+  // token before its first graph read.)  The cluster's direct graph
+  // writes — crash wipe, block invalidation, anti-entropy drop/absorb —
+  // must wait for them on the engine's writer lock; TSan flags any that
+  // do not.
+  ClusterConfig config = exec_config(2);
+  config.exec_deadline_ms = 1;
+  config.exec_faults.seed = 0x9E0;
+  config.exec_faults.worker_stall_rate = 0.5;
+  StashCluster cluster(config, shared_generator());
+
+  const AggregationQuery query = state_query();
+  (void)cluster.run_query(query);
+  const std::string partition = geohash::covering(query.area, 2).front();
+  const NodeId owner = cluster.dht().node_for_partition(partition);
+  cluster.crash_node(owner);
+  cluster.invalidate_block(partition, query.time.begin / 86400);
+  cluster.restart_node(owner);
+  cluster.recover_node((owner + 1) % config.num_nodes);
+  cluster.loop().run();
+  const QueryStats after = cluster.run_query(query);
+  EXPECT_GT(after.shed_subqueries, 0u);  // still deadline-cut, never hung
+  EXPECT_TRUE(cluster.audit_all().ok());
 }
 
 TEST(ExecClusterTest, ExecChaosExceptionsAreQuarantinedAndCounted) {

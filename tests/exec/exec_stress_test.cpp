@@ -72,14 +72,13 @@ TEST(ParallelExecStressTest, FullQueryMixMatchesOracleWithAbsorbs) {
 
 TEST(ParallelExecStressTest, ConcurrentCallersShareOnePool) {
   // Several caller threads hammer evaluate() (reader lock) while the main
-  // thread interleaves absorbs (writer lock).  Every answer must match
-  // what a fresh sequential engine computes for the *current* graph state
-  // — here callers only read, and absorbs happen between phases, so each
-  // phase's answers must be internally consistent.
+  // thread absorbs (writer lock).  Answers come from whole complete chunks
+  // at one resolution, so they do not depend on what is cached: every
+  // caller must see identical bytes even while absorbs land.  The second
+  // input caps the graph below one pan's footprint, so absorbs also
+  // evict while the callers race them.
   std::shared_ptr<const NamGenerator> gen = std::make_shared<NamGenerator>();
   GalileoStore store{gen};
-  StashGraph graph(graph_config());
-  ParallelQueryEngine par(graph, store, exec_config(4, 32));
 
   WorkloadConfig wc;
   wc.seed = 0x434f4e43ULL;
@@ -87,36 +86,48 @@ TEST(ParallelExecStressTest, ConcurrentCallersShareOnePool) {
   const auto base = wgen.random_query(QueryGroup::County);
   const auto pans = wgen.panning_sequence(base, 0.25);
 
-  constexpr int kCallers = 3;
-  constexpr int kRounds = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::uint64_t> digests(kCallers, 0);
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> callers;
-    callers.reserve(kCallers);
-    for (int c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&par, &pans, &digests, &failed, c] {
-        std::uint64_t digest = 0;
-        try {
-          for (const auto& q : pans)
-            digest = exec::answer_digest(par.evaluate(q).cells, digest);
-        } catch (...) {
-          failed.store(true);
-        }
-        digests[static_cast<std::size_t>(c)] = digest;
-      });
-    }
-    for (auto& t : callers) t.join();
-    ASSERT_FALSE(failed.load());
-    // Same graph state, same queries: every caller saw identical bytes.
-    for (std::size_t c = 1; c < kCallers; ++c)
-      EXPECT_EQ(digests[0], digests[c]);
+  for (const std::size_t max_cells :
+       {std::size_t{10'000'000}, std::size_t{64}}) {
+    StashConfig config = graph_config();
+    config.max_cells = max_cells;
+    StashGraph graph(config);
+    ParallelQueryEngine par(graph, store, exec_config(4, 32));
 
-    // Advance cache state under the writer lock between phases.
-    const Evaluation eval = par.evaluate(base);
-    (void)par.absorb(eval, base.res, (round + 1) * sim::kMillisecond);
+    constexpr int kCallers = 3;
+    constexpr int kRounds = 4;
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::uint64_t> digests(kCallers, 0);
+      std::atomic<bool> failed{false};
+      std::vector<std::thread> callers;
+      callers.reserve(kCallers);
+      for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&par, &pans, &digests, &failed, c] {
+          std::uint64_t digest = 0;
+          try {
+            for (const auto& q : pans)
+              digest = exec::answer_digest(par.evaluate(q).cells, digest);
+          } catch (...) {
+            failed.store(true);
+          }
+          digests[static_cast<std::size_t>(c)] = digest;
+        });
+      }
+      // Advance cache state under the writer lock while the callers read:
+      // each round absorbs a different pan, so a small cache must evict.
+      const auto& warm = pans[static_cast<std::size_t>(round) % pans.size()];
+      const Evaluation eval = par.evaluate(warm);
+      (void)par.absorb(eval, warm.res, (round + 1) * sim::kMillisecond);
+      for (auto& t : callers) t.join();
+      ASSERT_FALSE(failed.load());
+      // Same queries, cache-independent answers: identical bytes.
+      for (std::size_t c = 1; c < kCallers; ++c)
+        EXPECT_EQ(digests[0], digests[c]) << "max_cells " << max_cells;
+    }
+    EXPECT_GT(par.total_stats().executed, 0u);
+    if (max_cells < 10'000'000) {
+      EXPECT_GT(graph.stats().cells_evicted, 0u) << "eviction never fired";
+    }
   }
-  EXPECT_GT(par.total_stats().executed, 0u);
 }
 
 TEST(ParallelExecStressTest, ManySmallBatchesChurnThePool) {

@@ -1,14 +1,15 @@
-// Model-check of the ConcurrentStashGraph guard protocol over RwSpinlock.
+// Model-check of ParallelQueryEngine's graph guard over RwSpinlock.
 //
-// core/concurrent_graph.hpp guards every mutable field with one
-// reader-writer capability: absorb paths take the writer lock and update
-// cells+totals together; query paths take the reader lock and must see a
-// consistent pair.  The thread-safety annotations prove acquisition
-// discipline at compile time; this test proves the part they cannot — that
-// the lock's acquire/release orders actually create the happens-before
-// edges the guard pattern assumes.  The var<T> race detector is the
-// oracle: if mutual exclusion or reader/writer ordering were broken, the
-// unsynchronised accesses would be reported as data races.
+// exec/parallel_engine.hpp guards the STASH graph with one reader-writer
+// capability: absorb and every other write by the graph's owner take the
+// writer lock and update cells+totals together; chunk evaluations take the
+// reader lock and must see a consistent pair.  The thread-safety
+// annotations prove acquisition discipline at compile time; this test
+// proves the part they cannot — that the lock's acquire/release orders
+// actually create the happens-before edges the guard pattern assumes.
+// The var<T> race detector is the oracle: if mutual exclusion or
+// reader/writer ordering were broken, the unsynchronised accesses would be
+// reported as data races.
 
 #include <gtest/gtest.h>
 
