@@ -96,7 +96,7 @@ class Tracer {
 /// Compact deterministic JSON, schema "stash-trace-v1".
 [[nodiscard]] std::string to_json(const Trace& trace);
 
-/// Human-readable span tree (stashctl --trace, chaos_failover):
+/// Human-readable span tree (stashctl --trace, examples/chaos):
 ///   query #7 [0..5400us] 5400us
 ///     scatter [0..4100us] 4100us
 ///       subquery 9q [0..4100us] ok ...

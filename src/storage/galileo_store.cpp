@@ -34,9 +34,8 @@ ScanResult GalileoStore::scan_partition(std::string_view partition,
     const TimeRange day_range{std::max(time.begin, day * 86400),
                               std::min(time.end, (day + 1) * 86400)};
     const BlockKey block{std::string(partition), day};
-    std::uint64_t version = block_version(block);
-    const auto rot = rot_.find(block);
-    if (rot != rot_.end()) {
+    auto [version, salt] = block_state(block);
+    if (salt != 0) {
       if (verify_checksums_) {
         // The block's checksum no longer matches its contents: count the
         // failure, quarantine it for the scrubber, charge the seek that
@@ -56,7 +55,7 @@ ScanResult GalileoStore::scan_partition(std::string_view partition,
       }
       // Verification off: serve the rotted bytes.  The salt perturbs the
       // version, so the records are plausible but wrong — silent corruption.
-      version ^= rot->second;
+      version ^= salt;
     }
     const ObservationList records =
         generator_->generate(clipped, day_range, version);
@@ -77,6 +76,7 @@ std::uint64_t GalileoStore::ingest_update(const BlockKey& key) {
   if (key.partition.size() != static_cast<std::size_t>(prefix_len_))
     throw std::invalid_argument("GalileoStore::ingest_update: bad partition key");
   // A rewrite replaces the block's bytes wholesale, healing any rot.
+  WriterLock table(table_mutex_);
   rot_.erase(key);
   {
     MutexLock lock(integrity_mutex_);
@@ -93,12 +93,14 @@ void GalileoStore::rot_block(const BlockKey& key) {
   std::uint64_t salt = fnv1a(key.partition);
   hash_combine(salt, static_cast<std::uint64_t>(key.day));
   if (salt == 0) salt = 1;
+  WriterLock table(table_mutex_);
   rot_[key] = salt;
   MutexLock lock(integrity_mutex_);
   ++integrity_.blocks_rotted;
 }
 
 bool GalileoStore::repair_block(const BlockKey& key) {
+  WriterLock table(table_mutex_);
   const bool was_bad = rot_.erase(key) > 0;
   MutexLock lock(integrity_mutex_);
   const bool was_quarantined = quarantine_.erase(key) > 0;
@@ -107,7 +109,7 @@ bool GalileoStore::repair_block(const BlockKey& key) {
 }
 
 bool GalileoStore::block_rotted(const BlockKey& key) const {
-  return rot_.contains(key);
+  return block_state(key).second != 0;
 }
 
 bool GalileoStore::block_quarantined(const BlockKey& key) const {
@@ -116,11 +118,12 @@ bool GalileoStore::block_quarantined(const BlockKey& key) const {
 }
 
 bool GalileoStore::verify_block(const BlockKey& key) const {
-  return !rot_.contains(key);
+  return !block_rotted(key);
 }
 
 std::size_t GalileoStore::scrub() {
   std::size_t newly = 0;
+  ReaderLock table(table_mutex_);
   MutexLock lock(integrity_mutex_);
   for (const auto& [key, salt] : rot_) {
     if (!quarantine_.insert(key).second) continue;
@@ -142,8 +145,16 @@ GalileoStore::IntegrityStats GalileoStore::integrity() const {
 }
 
 std::uint64_t GalileoStore::block_version(const BlockKey& key) const {
-  const auto it = versions_.find(key);
-  return it == versions_.end() ? 0 : it->second;
+  return block_state(key).first;
+}
+
+std::pair<std::uint64_t, std::uint64_t> GalileoStore::block_state(
+    const BlockKey& key) const {
+  ReaderLock table(table_mutex_);
+  const auto version = versions_.find(key);
+  const auto rot = rot_.find(key);
+  return {version == versions_.end() ? 0 : version->second,
+          rot == rot_.end() ? 0 : rot->second};
 }
 
 ScanResult GalileoStore::scan(const BoundingBox& region, const TimeRange& time,

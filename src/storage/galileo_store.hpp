@@ -15,6 +15,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/summary.hpp"
@@ -150,20 +151,32 @@ class GalileoStore {
   [[nodiscard]] bool verify_checksums() const noexcept { return verify_checksums_; }
 
  private:
+  /// One block's (version, rot salt) under a reader lock on the table.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> block_state(
+      const BlockKey& key) const;
+
   std::shared_ptr<const NamGenerator> generator_;
   int prefix_len_;
-  std::unordered_map<BlockKey, std::uint64_t, BlockKeyHash> versions_;
+  // The block table.  Ingest, rot and repair rewrite it on the sim thread
+  // while wall-clock workers scan it — deadline-cut stragglers included,
+  // which outlive the evaluation that launched them — so scans look a
+  // block up under a reader lock and writers take the writer lock.
+  mutable SharedMutex table_mutex_;
+  std::unordered_map<BlockKey, std::uint64_t, BlockKeyHash> versions_
+      STASH_GUARDED_BY(table_mutex_);
   /// Rot salt per block: non-zero means the stored bytes no longer match
   /// the block's checksum.  The salt perturbs the generator version, so a
   /// rotted block read without verification yields plausible — but wrong —
   /// records rather than garbage, the worst case for a reader to detect.
-  std::unordered_map<BlockKey, std::uint64_t, BlockKeyHash> rot_;
+  std::unordered_map<BlockKey, std::uint64_t, BlockKeyHash> rot_
+      STASH_GUARDED_BY(table_mutex_);
   bool verify_checksums_ = true;
   // Detection happens inside const scans; quarantine state and counters
   // are bookkeeping about the store, not logical contents, hence mutable.
   // Wall-clock workers scan concurrently, so the bookkeeping is guarded:
   // the lock is taken only on the corruption-detection path and in the
-  // (cold) accessors, never on a clean scan.
+  // (cold) accessors, never on a clean scan.  Lock order: table_mutex_
+  // before integrity_mutex_.
   mutable Mutex integrity_mutex_;
   mutable std::unordered_set<BlockKey, BlockKeyHash> quarantine_
       STASH_GUARDED_BY(integrity_mutex_);

@@ -210,6 +210,35 @@ TEST(ExecClusterTest, GraphWritesWaitForDeadlineStragglers) {
   EXPECT_TRUE(cluster.audit_all().ok());
 }
 
+TEST(ExecClusterTest, BlockTableWritesBesideDeadlineStragglers) {
+  // The same deadline-cut stragglers go on scanning the shared block store
+  // after run_query returns, while the sim thread rots, scrubs (repairs)
+  // and rewrites blocks — the composed chaos row's bit-rot + scrubber +
+  // exec-deadline mix.  The store's block table must synchronize those
+  // writes with the scans; TSan flags it if it does not.
+  ClusterConfig config = exec_config(2);
+  config.exec_deadline_ms = 1;
+  config.exec_faults.seed = 0x9E0;
+  config.exec_faults.worker_stall_rate = 0.5;
+  StashCluster cluster(config, shared_generator());
+
+  const AggregationQuery query = state_query();
+  const std::int64_t day = query.time.begin / 86400;
+  const auto partitions = geohash::covering(query.area, 2);
+  for (int round = 0; round < 3; ++round) {
+    (void)cluster.run_query(query);
+    for (const auto& p : partitions) cluster.rot_block(p, day);
+    (void)cluster.run_query(query);
+    cluster.scrub_now();
+    for (const auto& p : partitions) (void)cluster.ingest_update(p, day);
+  }
+  cluster.loop().run();
+  const QueryStats after = cluster.run_query(query);
+  EXPECT_EQ(after.corrupt_blocks, 0u);  // repaired and rewritten, not rot
+  EXPECT_TRUE(cluster.store().quarantine_list().empty());
+  EXPECT_TRUE(cluster.audit_all().ok());
+}
+
 TEST(ExecClusterTest, ExecChaosExceptionsAreQuarantinedAndCounted) {
   // Exception rate 1.0: every chunk throws InjectedFault.  The pool must
   // survive (quarantine, never std::terminate), the partitions all flag

@@ -59,7 +59,10 @@ TEST(ConcurrentWorkerPoolTest, RunsEverySubmittedTask) {
   for (int i = 0; i < kTasks; ++i) {
     pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   }
-  while (ran.load(std::memory_order_relaxed) < kTasks)
+  // A worker counts a task executed only after it returns, so wait for
+  // the counter too, not just the tasks.
+  while (ran.load(std::memory_order_relaxed) < kTasks ||
+         pool.total_stats().executed < static_cast<std::uint64_t>(kTasks))
     std::this_thread::yield();
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_EQ(pool.total_stats().executed, static_cast<std::uint64_t>(kTasks));
@@ -84,7 +87,9 @@ TEST(ConcurrentWorkerPoolTest, SingleWorkerPoolStillCompletes) {
   for (int i = 0; i < 64; ++i) {
     pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   }
-  while (ran.load(std::memory_order_relaxed) < 64) std::this_thread::yield();
+  while (ran.load(std::memory_order_relaxed) < 64 ||
+         pool.total_stats().executed < 64)
+    std::this_thread::yield();
   const auto stats = pool.total_stats();
   EXPECT_EQ(stats.executed, 64u);
   EXPECT_EQ(stats.stolen, 0u);  // nobody to steal from
@@ -253,7 +258,11 @@ TEST(ConcurrentWorkerPoolTest, ThrowingTasksAreQuarantined) {
       pool.submit([] { throw std::runtime_error("injected"); });
       pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    while (ran.load(std::memory_order_relaxed) < 8) std::this_thread::yield();
+    // The counting tasks can all finish while the throwing ones still
+    // wait in another worker's ring, so wait for every task, not just them.
+    while (ran.load(std::memory_order_relaxed) < 8 ||
+           pool.total_stats().executed < 16)
+      std::this_thread::yield();
     const auto stats = pool.total_stats();
     EXPECT_EQ(stats.task_exceptions, 8u);
     EXPECT_EQ(stats.executed, 16u);  // throwing tasks still count as executed
@@ -308,6 +317,7 @@ TEST(ConcurrentWorkerPoolTest, AbandonShutdownDestroysQueuedTasksUnrun) {
   auto live = std::make_shared<std::atomic<int>>(0);
   std::atomic<int> ran{0};
   std::atomic<bool> release{false};
+  std::thread releaser;
   {
     WorkerPool::Config config = pool_config(2, 8);
     config.drain_on_shutdown = false;
@@ -333,13 +343,13 @@ TEST(ConcurrentWorkerPoolTest, AbandonShutdownDestroysQueuedTasksUnrun) {
     // Destroy while the workers are still wedged: the destructor sets
     // stop_, the wedge tasks return, and the workers must exit WITHOUT
     // draining their rings.  Release from another thread so the join in
-    // the destructor can complete.
-    std::thread releaser([&release] {
+    // the destructor can complete (joined after it, while `release` lives).
+    releaser = std::thread([&release] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       release.store(true, std::memory_order_relaxed);
     });
-    releaser.detach();
   }
+  releaser.join();
   EXPECT_EQ(ran.load(), 0) << "abandon shutdown ran queued tasks";
   EXPECT_EQ(live.use_count(), 1)
       << "abandoned task payloads were leaked, not destroyed";

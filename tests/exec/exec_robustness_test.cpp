@@ -73,6 +73,29 @@ class ExecRobustnessTest : public ::testing::Test {
             {5, TemporalRes::Day}};
   }
 
+  /// The sequential oracle's answer over exactly the partitions `report`
+  /// vouches for (those it does not name incomplete): what an honest
+  /// partial must equal byte for byte.
+  CellSummaryMap vouched_oracle(const AggregationQuery& query,
+                                const BatchReport& report) const {
+    StashGraph graph(graph_config());
+    QueryEngine seq(graph, store_);
+    const std::set<std::string> incomplete(
+        report.incomplete_partitions.begin(),
+        report.incomplete_partitions.end());
+    CellSummaryMap expected;
+    for (const auto& partition :
+         geohash::covering(query.area, store_.partition_prefix_length())) {
+      if (incomplete.count(partition) != 0) continue;
+      const Evaluation want = seq.evaluate_partition(partition, query);
+      for (const auto& [key, summary] : want.cells) {
+        auto [it, inserted] = expected.try_emplace(key, summary);
+        if (!inserted) it->second.merge(summary);
+      }
+    }
+    return expected;
+  }
+
   std::shared_ptr<const NamGenerator> gen_ = std::make_shared<NamGenerator>();
   GalileoStore store_{gen_};
 };
@@ -83,9 +106,6 @@ class ExecRobustnessTest : public ::testing::Test {
 
 TEST_F(ExecRobustnessTest, ExpiredDeadlineReturnsOnlyWholePartitions) {
   const auto query = state_query();
-
-  StashGraph seq_graph(graph_config());
-  QueryEngine seq(seq_graph, store_);
 
   StashGraph par_graph(graph_config());
   ParallelQueryEngine par(par_graph, store_, exec_config(2));
@@ -107,21 +127,9 @@ TEST_F(ExecRobustnessTest, ExpiredDeadlineReturnsOnlyWholePartitions) {
     EXPECT_FALSE(report.incomplete_partitions.empty());
   }
 
-  // Reassemble the expected partial from the oracle: only the partitions
-  // the report vouches for.
-  const std::set<std::string> incomplete(report.incomplete_partitions.begin(),
-                                         report.incomplete_partitions.end());
-  CellSummaryMap expected;
-  for (const auto& partition : geohash::covering(query.area, store_.partition_prefix_length())) {
-    if (incomplete.count(partition) != 0) continue;
-    const Evaluation want = seq.evaluate_partition(partition, query);
-    for (const auto& [key, summary] : want.cells) {
-      auto [it, inserted] = expected.try_emplace(key, summary);
-      if (!inserted) it->second.merge(summary);
-    }
-  }
+  // Only the partitions the report vouches for, each oracle-exact.
   EXPECT_EQ(exec::answer_digest(got.cells, 0),
-            exec::answer_digest(expected, 0));
+            exec::answer_digest(vouched_oracle(query, report), 0));
 
   const exec::ExecStats stats = par.exec_stats();
   EXPECT_GE(stats.deadline_exceeded, 1u);
@@ -129,41 +137,49 @@ TEST_F(ExecRobustnessTest, ExpiredDeadlineReturnsOnlyWholePartitions) {
 
 TEST_F(ExecRobustnessTest, DeadlineWithStalledWorkersReturnsPromptly) {
   // Stall every chunk hard: a full run would burn chunks x stall-spins of
-  // CPU.  The deadline must cut that short — the submitter returns within
-  // the deadline plus scheduling slack, and the un-run chunks show up as
-  // cancelled, not as latency.
-  FaultHooks faults;
-  faults.seed = 7;
-  faults.worker_stall_rate = 1.0;
-  faults.worker_stall_spins = 20'000'000;
+  // CPU.  At every thread count the deadline must cut that short — the
+  // submitter returns within the deadline plus scheduling slack, the un-run
+  // chunks show up as cancelled, not as latency, and the partial is the
+  // oracle's answer over exactly the partitions the report vouches for.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FaultHooks faults;
+    faults.seed = 7;
+    faults.worker_stall_rate = 1.0;
+    faults.worker_stall_spins = 20'000'000;
 
-  StashGraph graph(graph_config());
-  ParallelQueryEngine par(graph, store_, exec_config(2, faults));
+    StashGraph graph(graph_config());
+    ParallelQueryEngine par(graph, store_, exec_config(threads, faults));
 
-  constexpr std::uint64_t kDeadlineMs = 20;
-  ExecOptions options;
-  const std::uint64_t start = exec::host_now_ns();
-  options.deadline_ns = start + kDeadlineMs * 1'000'000;
-  BatchReport report;
-  (void)par.evaluate(state_query(), EvalMode::Cached, options, report);
-  const std::uint64_t elapsed_ms = (exec::host_now_ns() - start) / 1'000'000;
+    constexpr std::uint64_t kDeadlineMs = 20;
+    ExecOptions options;
+    const std::uint64_t start = exec::host_now_ns();
+    options.deadline_ns = start + kDeadlineMs * 1'000'000;
+    BatchReport report;
+    const Evaluation got =
+        par.evaluate(state_query(), EvalMode::Cached, options, report);
+    const std::uint64_t elapsed_ms =
+        (exec::host_now_ns() - start) / 1'000'000;
 
-  EXPECT_TRUE(report.deadline_exceeded);
-  EXPECT_GT(report.chunks_cancelled, 0u) << "deadline cancelled nothing";
-  // Deadline + one watchdog tick (5ms default) + generous scheduler
-  // slack; far below what running every stalled chunk would cost.
-  EXPECT_LT(elapsed_ms, kDeadlineMs + 1000u);
+    EXPECT_TRUE(report.deadline_exceeded);
+    EXPECT_GT(report.chunks_cancelled, 0u) << "deadline cancelled nothing";
+    // Deadline + one watchdog tick (5ms default) + generous scheduler
+    // slack; far below what running every stalled chunk would cost.
+    EXPECT_LT(elapsed_ms, kDeadlineMs + 1000u);
+    EXPECT_EQ(exec::answer_digest(got.cells, 0),
+              exec::answer_digest(vouched_oracle(state_query(), report), 0));
 
-  // Stragglers may still be mid-stall; the cooperative-cancel counter
-  // settles once they probe the token.
-  exec::ExecStats stats = par.exec_stats();
-  const std::uint64_t poll_until = exec::host_now_ns() + 5'000'000'000ull;
-  while (stats.cancelled_chunks == 0 && exec::host_now_ns() < poll_until) {
-    std::this_thread::yield();
-    stats = par.exec_stats();
+    // Stragglers may still be mid-stall; the cooperative-cancel counter
+    // settles once they probe the token.
+    exec::ExecStats stats = par.exec_stats();
+    const std::uint64_t poll_until = exec::host_now_ns() + 5'000'000'000ull;
+    while (stats.cancelled_chunks == 0 && exec::host_now_ns() < poll_until) {
+      std::this_thread::yield();
+      stats = par.exec_stats();
+    }
+    EXPECT_GE(stats.cancelled_chunks, 1u);
+    EXPECT_GE(stats.deadline_exceeded, 1u);
   }
-  EXPECT_GE(stats.cancelled_chunks, 1u);
-  EXPECT_GE(stats.deadline_exceeded, 1u);
 }
 
 // ---------------------------------------------------------------------------
