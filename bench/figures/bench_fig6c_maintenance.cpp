@@ -27,7 +27,8 @@ int main() {
     for (int i = 0; i < kQueries; ++i) {
       auto cluster = make_cluster();
       const auto stats = cluster->run_query(wl.random_query(group));
-      maintenance_ms += sim::to_millis(cluster->metrics().total_maintenance_time);
+      maintenance_ms += sim::to_millis(
+          static_cast<sim::SimTime>(cluster->metrics().maintenance_time_us));
       response_ms += sim::to_millis(stats.latency());
       cells += stats.result_cells;
     }

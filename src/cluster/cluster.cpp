@@ -13,7 +13,15 @@ namespace stash::cluster {
 namespace {
 constexpr sim::SimTime kNeverSuspected =
     std::numeric_limits<sim::SimTime>::min();
+// Message sizing for the network cost model.  (Replication transfers are
+// sized from the real wire codec, not a per-cell constant.)
+constexpr std::size_t kRequestBytes = 256;
+constexpr std::size_t kResponseCellBytes = 12;  // cell id + aggregate
 constexpr std::size_t kAckBytes = 64;  // Ack / NACK / Replication Response
+/// Front-end parse/render overhead added to every query's latency.
+constexpr sim::SimTime kFrontendOverhead = 1 * sim::kMillisecond;
+/// Retry tokens each exact subquery response refills (retry_budget > 0).
+constexpr double kRetryRefillPerSuccess = 0.5;
 constexpr std::size_t kSyncMaxChunks = 512;  // chunks pulled per exchange
 constexpr std::size_t kRecoveryPeers = 3;    // digest peers per recovery
 constexpr int kRebalanceMaxAttempts = 3;     // warm tries, then flip cold
@@ -34,113 +42,6 @@ StashCluster::Node::Node(NodeId node_id, const StashConfig& stash_config,
       last_handoff_attempt(std::numeric_limits<sim::SimTime>::min() / 2),
       rng(seed) {}
 
-StashCluster::Counters::Counters(obs::MetricsRegistry& reg)
-    : queries_completed(reg.counter("stash_queries_completed_total",
-                                    "Queries completed (including partial)")),
-      subqueries_processed(reg.counter("stash_subqueries_processed_total",
-                                       "Subqueries executed by node servers")),
-      handoffs_initiated(reg.counter("stash_handoffs_initiated_total",
-                                     "Hotspot handoff rounds started")),
-      cliques_replicated(reg.counter("stash_cliques_replicated_total",
-                                     "Cliques installed on helper nodes")),
-      cells_replicated(reg.counter("stash_cells_replicated_total",
-                                   "Cells shipped in replication payloads")),
-      distress_rejections(reg.counter("stash_distress_rejections_total",
-                                      "Distress requests NACKed or abandoned")),
-      reroutes(reg.counter("stash_reroutes_total",
-                           "Subqueries rerouted to a guest helper")),
-      guest_fallbacks(reg.counter(
-          "stash_guest_fallbacks_total",
-          "Guest-served subqueries that fell back to the owner")),
-      maintenance_tasks(reg.counter("stash_maintenance_tasks_total",
-                                    "Background graph-population tasks run")),
-      maintenance_time_us(reg.counter(
-          "stash_maintenance_time_us_total",
-          "Simulated microseconds spent in background maintenance")),
-      node_crashes(reg.counter("stash_node_crashes_total",
-                               "Node crashes (scripted or forced)")),
-      node_restarts(reg.counter("stash_node_restarts_total", "Node restarts")),
-      messages_dropped(reg.counter("stash_messages_dropped_total",
-                                   "Messages lost by fault injection")),
-      timeouts_fired(reg.counter("stash_timeouts_total",
-                                 "Subquery and handoff timeouts fired")),
-      handoff_timeouts(reg.counter("stash_handoff_timeouts_total",
-                                   "Handoff watchdog expirations")),
-      subquery_retries(reg.counter("stash_subquery_retries_total",
-                                   "Subquery retry attempts issued")),
-      failovers(reg.counter("stash_failovers_total",
-                            "Subqueries served by a DHT successor")),
-      failed_subqueries(reg.counter("stash_failed_subqueries_total",
-                                    "Subqueries that exhausted every attempt")),
-      partial_queries(reg.counter("stash_partial_queries_total",
-                                  "Queries completed with missing partitions")),
-      subqueries_shed(reg.counter(
-          "stash_subqueries_shed_total",
-          "Subquery jobs rejected by node admission control")),
-      subqueries_expired(reg.counter(
-          "stash_subqueries_expired_total",
-          "Subquery jobs whose deadline expired in a node queue")),
-      degraded_subqueries(reg.counter(
-          "stash_degraded_subqueries_total",
-          "Subqueries answered from a cached coarser ancestor level")),
-      degraded_queries(reg.counter(
-          "stash_degraded_queries_total",
-          "Queries completed with at least one degraded partition")),
-      deadline_cut_subqueries(reg.counter(
-          "stash_deadline_cut_subqueries_total",
-          "Subqueries cut off when their query deadline fired")),
-      deadline_cut_queries(reg.counter(
-          "stash_deadline_cut_queries_total",
-          "Queries finalized by the deadline timer")),
-      retries_suppressed(reg.counter(
-          "stash_retries_suppressed_total",
-          "Retries denied by an exhausted per-query retry budget")),
-      digests_exchanged(reg.counter(
-          "stash_digests_exchanged_total",
-          "PLM digests received by recovering nodes (anti-entropy)")),
-      chunks_rewarmed(reg.counter(
-          "stash_chunks_rewarmed_total",
-          "Complete chunks pulled back into a rejoining node's cache")),
-      cells_rewarmed(reg.counter(
-          "stash_cells_rewarmed_total",
-          "Cells carried by anti-entropy re-warm payloads")),
-      recoveries(reg.counter("stash_recoveries_total",
-                             "Anti-entropy recovery rounds started")),
-      frame_integrity_failures(reg.counter(
-          "stash_frame_integrity_failures_total",
-          "Wire frames rejected by magic/length/checksum validation")),
-      messages_redelivered(reg.counter(
-          "stash_messages_redelivered_total",
-          "Corrupt frames NACKed and retransmitted from the sender")),
-      poison_messages(reg.counter(
-          "stash_poison_messages_total",
-          "Frames still corrupt after the redelivery budget (dropped)")),
-      corrupt_queries(reg.counter(
-          "stash_corrupt_queries_total",
-          "Queries flagged partial because a scanned block failed its "
-          "checksum")),
-      scrub_cycles(reg.counter("stash_scrub_cycles_total",
-                               "Background scrubber passes run")),
-      scrub_repairs(reg.counter(
-          "stash_scrub_repairs_total",
-          "Quarantined blocks rewritten from pristine data by the scrubber")),
-      replica_divergences(reg.counter(
-          "stash_replica_divergences_total",
-          "Cached chunks dropped and re-pulled after an anti-entropy digest "
-          "mismatch")),
-      rebalance_partitions_moved(reg.counter(
-          "stash_rebalance_partitions_moved_total",
-          "Partition ownership flips completed by ring rebalancing")),
-      rebalance_transfers_aborted(reg.counter(
-          "stash_rebalance_transfers_aborted_total",
-          "Warm rebalance transfer attempts that timed out or failed")),
-      rebalance_ownership_reverts(reg.counter(
-          "stash_rebalance_ownership_reverts_total",
-          "Rebalance moves reverted to the old owner (target died mid-join)")),
-      rebalance_epoch_advances(reg.counter(
-          "stash_rebalance_epoch_advances_total",
-          "Membership ring epochs installed by the front-end")) {}
-
 StashCluster::StashCluster(ClusterConfig config,
                            std::shared_ptr<const NamGenerator> generator)
     : config_(config),
@@ -156,7 +57,7 @@ StashCluster::StashCluster(ClusterConfig config,
                      std::numeric_limits<sim::SimTime>::min() / 2),
       frontend_rng_(config.seed ^ 0x46524f4e54ULL),
       tracer_(config.tracing, config.trace_capacity),
-      counters_(registry_),
+      counters_(bind_counters(registry_)),
       query_latency_us_(registry_.histogram(
           "stash_query_latency_us", "End-to-end query latency (simulated us)",
           obs::latency_buckets_us())),
@@ -309,393 +210,6 @@ void StashCluster::scrub_tick(bool reschedule) {
                               [this] { scrub_tick(/*reschedule=*/true); });
 }
 
-void StashCluster::register_callback_metrics() {
-  using obs::MetricKind;
-  registry_.callback("stash_cached_cells",
-                     "Cells resident in local graphs across all nodes",
-                     MetricKind::Gauge, [this] {
-                       return static_cast<double>(total_cached_cells());
-                     });
-  registry_.callback("stash_guest_cells",
-                     "Cells resident in guest graphs across all nodes",
-                     MetricKind::Gauge, [this] {
-                       return static_cast<double>(total_guest_cells());
-                     });
-  registry_.callback("stash_pending_queries",
-                     "Queries in flight at the front-end", MetricKind::Gauge,
-                     [this] { return static_cast<double>(pending_.size()); });
-  registry_.callback("stash_server_queue_length",
-                     "Requests queued across all node servers",
-                     MetricKind::Gauge, [this] {
-                       std::size_t total = 0;
-                       for (const auto& node : nodes_)
-                         total += node->server.queue_length();
-                       return static_cast<double>(total);
-                     });
-  registry_.callback("stash_server_busy_workers",
-                     "Busy workers across all node servers", MetricKind::Gauge,
-                     [this] {
-                       double total = 0.0;
-                       for (const auto& node : nodes_)
-                         total += node->server.busy_workers();
-                       return total;
-                     });
-  registry_.callback("stash_server_completed_jobs_total",
-                     "Jobs completed across all node servers",
-                     MetricKind::Counter, [this] {
-                       std::uint64_t total = 0;
-                       for (const auto& node : nodes_)
-                         total += node->server.completed_jobs();
-                       return static_cast<double>(total);
-                     });
-  registry_.callback("stash_server_queue_wait_us_total",
-                     "Virtual time jobs spent queued before dispatch",
-                     MetricKind::Counter, [this] {
-                       sim::SimTime total = 0;
-                       for (const auto& node : nodes_)
-                         total += node->server.total_queue_wait();
-                       return static_cast<double>(total);
-                     });
-  registry_.callback("stash_server_peak_queue_length",
-                     "Worst pending-queue depth seen on any node server",
-                     MetricKind::Gauge, [this] {
-                       std::size_t peak = 0;
-                       for (const auto& node : nodes_)
-                         peak = std::max(peak, node->server.peak_queue_length());
-                       return static_cast<double>(peak);
-                     });
-  registry_.callback("stash_server_jobs_shed_total",
-                     "Jobs shed by admission control across all node servers",
-                     MetricKind::Counter, [this] {
-                       std::uint64_t total = 0;
-                       for (const auto& node : nodes_)
-                         total += node->server.shed_jobs();
-                       return static_cast<double>(total);
-                     });
-  registry_.callback("stash_server_jobs_expired_total",
-                     "Jobs whose deadline expired while queued, all servers",
-                     MetricKind::Counter, [this] {
-                       std::uint64_t total = 0;
-                       for (const auto& node : nodes_)
-                         total += node->server.expired_jobs();
-                       return static_cast<double>(total);
-                     });
-  registry_.callback("stash_server_jobs_dropped_total",
-                     "Jobs wiped by server resets (crashes), all servers",
-                     MetricKind::Counter, [this] {
-                       std::uint64_t total = 0;
-                       for (const auto& node : nodes_)
-                         total += node->server.dropped_jobs() +
-                                  node->maintenance.dropped_jobs();
-                       return static_cast<double>(total);
-                     });
-  // Per-node graph counters (core/graph.hpp Stats), summed over local and
-  // guest graphs at snapshot time.  Stats are lifetime-cumulative and
-  // survive clear(), so crash wipes do not make these go backwards.
-  const auto graph_stat = [this](std::uint64_t StashGraph::Stats::*field) {
-    std::uint64_t total = 0;
-    for (const auto& node : nodes_) {
-      total += node->graph.stats().*field;
-      total += node->guest_graph.stats().*field;
-    }
-    return static_cast<double>(total);
-  };
-  registry_.callback(
-      "stash_graph_cells_absorbed_total",
-      "Cells merged into node graphs (local + guest)", MetricKind::Counter,
-      [graph_stat] { return graph_stat(&StashGraph::Stats::cells_absorbed); });
-  registry_.callback(
-      "stash_graph_cells_evicted_total",
-      "Cells evicted by freshness pressure (local + guest)",
-      MetricKind::Counter,
-      [graph_stat] { return graph_stat(&StashGraph::Stats::cells_evicted); });
-  registry_.callback(
-      "stash_graph_cells_purged_total",
-      "Cells dropped by TTL purges (local + guest)", MetricKind::Counter,
-      [graph_stat] { return graph_stat(&StashGraph::Stats::cells_purged); });
-  registry_.callback(
-      "stash_graph_eviction_passes_total",
-      "Eviction passes that dropped at least one chunk", MetricKind::Counter,
-      [graph_stat] { return graph_stat(&StashGraph::Stats::eviction_passes); });
-  registry_.callback(
-      "stash_graph_freshness_touches_total",
-      "Chunk freshness updates (accessed + dispersed)", MetricKind::Counter,
-      [graph_stat] {
-        return graph_stat(&StashGraph::Stats::freshness_touches);
-      });
-  registry_.callback(
-      "stash_graph_chunks_invalidated_total",
-      "Chunks dropped by real-time update invalidation", MetricKind::Counter,
-      [graph_stat] {
-        return graph_stat(&StashGraph::Stats::chunks_invalidated);
-      });
-  // Membership + partition counters read straight from the gossip and
-  // fault-injection stats at snapshot time.
-  registry_.callback("stash_gossip_probes_total",
-                     "SWIM probe pings sent by all observers",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           membership_->stats().probes_sent);
-                     });
-  registry_.callback("stash_false_suspicions_total",
-                     "Suspected members later refuted alive",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           membership_->stats().false_suspicions);
-                     });
-  registry_.callback("stash_partitions_observed_total",
-                     "Network partitions activated by the fault plan",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           fault_.stats().partitions_observed);
-                     });
-  // Elastic membership gauges: the installed ring, read at snapshot time.
-  registry_.callback("stash_ring_epoch",
-                     "Epoch of the installed membership ring",
-                     MetricKind::Gauge, [this] {
-                       return static_cast<double>(dht_.epoch());
-                     });
-  registry_.callback("stash_ring_members",
-                     "Members in the installed membership ring",
-                     MetricKind::Gauge, [this] {
-                       return static_cast<double>(dht_.num_nodes());
-                     });
-  registry_.callback("stash_rebalance_moves_inflight",
-                     "Partition handoffs currently mid-transfer",
-                     MetricKind::Gauge, [this] {
-                       return static_cast<double>(moves_.size());
-                     });
-  // Integrity counters read straight from the store and fault-injection
-  // stats at snapshot time (same pattern as the membership counters).
-  registry_.callback("stash_integrity_checksum_failures_total",
-                     "Storage scans that hit a block failing its checksum",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           store_.integrity().checksum_failures);
-                     });
-  registry_.callback("stash_blocks_quarantined_total",
-                     "Distinct storage blocks quarantined after failing "
-                     "verification",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           store_.integrity().blocks_quarantined);
-                     });
-  registry_.callback("stash_blocks_repaired_total",
-                     "Quarantined or rotted blocks rewritten from pristine "
-                     "data",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           store_.integrity().blocks_repaired);
-                     });
-  registry_.callback("stash_bitrot_injected_total",
-                     "Storage bit-rot events fired by the fault plan",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           fault_.stats().bitrot_injected);
-                     });
-  registry_.callback("stash_messages_corrupted_total",
-                     "In-flight messages bit-flipped by fault injection",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           fault_.stats().messages_corrupted);
-                     });
-  registry_.callback("stash_messages_truncated_total",
-                     "In-flight messages torn short by fault injection",
-                     MetricKind::Counter, [this] {
-                       return static_cast<double>(
-                           fault_.stats().messages_truncated);
-                     });
-  // Wall-clock exec pool activity, summed across nodes.  The aggregates
-  // are always registered (0 with exec disabled — schema-required); the
-  // per-worker breakdowns only exist when pools do.
-  const auto exec_sum =
-      [this](std::uint64_t concurrency::WorkerStats::* field) {
-        std::uint64_t total = 0;
-        for (const auto& node : nodes_)
-          if (node->exec_engine) {
-            const concurrency::WorkerStats s = node->exec_engine->total_stats();
-            total += s.*field;
-          }
-        return static_cast<double>(total);
-      };
-  registry_.callback(
-      "stash_exec_tasks_total", "Chunk tasks executed by wall-clock workers",
-      MetricKind::Counter,
-      [exec_sum] { return exec_sum(&concurrency::WorkerStats::executed); });
-  registry_.callback(
-      "stash_exec_steals_total",
-      "Chunk tasks stolen from another worker's ring", MetricKind::Counter,
-      [exec_sum] { return exec_sum(&concurrency::WorkerStats::stolen); });
-  registry_.callback(
-      "stash_exec_parks_total", "Times a wall-clock worker parked idle",
-      MetricKind::Counter,
-      [exec_sum] { return exec_sum(&concurrency::WorkerStats::parks); });
-  registry_.callback(
-      "stash_exec_wakeups_total", "Times a parked worker was woken",
-      MetricKind::Counter,
-      [exec_sum] { return exec_sum(&concurrency::WorkerStats::wakeups); });
-  // Wall-clock robustness counters (DESIGN.md §14), also schema-required.
-  const auto exec_stat_sum =
-      [this](std::uint64_t exec::ExecStats::* field) {
-        std::uint64_t total = 0;
-        for (const auto& node : nodes_)
-          if (node->exec_engine) {
-            const exec::ExecStats s = node->exec_engine->exec_stats();
-            total += s.*field;
-          }
-        return static_cast<double>(total);
-      };
-  registry_.callback(
-      "stash_exec_deadline_exceeded_total",
-      "Wall-clock evaluate calls that hit their deadline", MetricKind::Counter,
-      [exec_stat_sum] {
-        return exec_stat_sum(&exec::ExecStats::deadline_exceeded);
-      });
-  registry_.callback(
-      "stash_exec_cancelled_chunks_total",
-      "Chunk tasks cancelled cooperatively after a deadline or shutdown",
-      MetricKind::Counter, [exec_stat_sum] {
-        return exec_stat_sum(&exec::ExecStats::cancelled_chunks);
-      });
-  registry_.callback(
-      "stash_exec_task_exceptions_total",
-      "Chunk tasks that threw and were quarantined", MetricKind::Counter,
-      [exec_stat_sum, exec_sum] {
-        // Engine-recorded chunk failures plus anything the pool caught
-        // from tasks submitted outside a batch.
-        return exec_stat_sum(&exec::ExecStats::task_exceptions) +
-               exec_sum(&concurrency::WorkerStats::task_exceptions);
-      });
-  registry_.callback(
-      "stash_exec_watchdog_stalls_total",
-      "Stuck-worker detections by the exec watchdog", MetricKind::Counter,
-      [exec_sum] {
-        return exec_sum(&concurrency::WorkerStats::watchdog_stalls);
-      });
-  registry_.callback(
-      "stash_exec_submit_shed_total",
-      "Chunk submissions shed to inline execution (all rings full)",
-      MetricKind::Counter, [exec_sum] {
-        return exec_sum(&concurrency::WorkerStats::submit_shed);
-      });
-  registry_.callback("stash_exec_queue_depth",
-                     "Queued-but-unexecuted chunk tasks across all exec rings",
-                     MetricKind::Gauge, [this] {
-                       std::size_t depth = 0;
-                       for (const auto& node : nodes_)
-                         if (node->exec_engine)
-                           depth += node->exec_engine->queue_depth();
-                       return static_cast<double>(depth);
-                     });
-  registry_.callback("stash_exec_workers",
-                     "Wall-clock worker threads across all nodes",
-                     MetricKind::Gauge, [this] {
-                       std::size_t workers = 0;
-                       for (const auto& node : nodes_)
-                         if (node->exec_engine)
-                           workers += node->exec_engine->worker_count();
-                       return static_cast<double>(workers);
-                     });
-  // Per-worker-slot queue depth and steal counters (summed over nodes at
-  // the same slot index) — both exporters render these like any metric.
-  if (config_.exec_threads > 0) {
-    const std::size_t slots = nodes_.empty()
-                                  ? 0
-                                  : nodes_.front()->exec_engine->worker_count();
-    for (std::size_t i = 0; i < slots; ++i) {
-      const std::string suffix = std::to_string(i);
-      registry_.callback(
-          "stash_exec_worker" + suffix + "_tasks_total",
-          "Chunk tasks executed by worker slot " + suffix + " (all nodes)",
-          MetricKind::Counter, [this, i] {
-            std::uint64_t total = 0;
-            for (const auto& node : nodes_)
-              if (node->exec_engine)
-                total += node->exec_engine->worker_stats(i).executed;
-            return static_cast<double>(total);
-          });
-      registry_.callback(
-          "stash_exec_worker" + suffix + "_steals_total",
-          "Chunk tasks stolen by worker slot " + suffix + " (all nodes)",
-          MetricKind::Counter, [this, i] {
-            std::uint64_t total = 0;
-            for (const auto& node : nodes_)
-              if (node->exec_engine)
-                total += node->exec_engine->worker_stats(i).stolen;
-            return static_cast<double>(total);
-          });
-      registry_.callback(
-          "stash_exec_worker" + suffix + "_queue_depth",
-          "Queued chunk tasks in worker slot " + suffix + "'s rings "
-          "(all nodes)",
-          MetricKind::Gauge, [this, i] {
-            std::size_t depth = 0;
-            for (const auto& node : nodes_)
-              if (node->exec_engine)
-                depth += node->exec_engine->worker_queue_depth(i);
-            return static_cast<double>(depth);
-          });
-    }
-  }
-}
-
-ClusterMetrics StashCluster::metrics() const {
-  ClusterMetrics m;
-  m.queries_completed = counters_.queries_completed.value();
-  m.subqueries_processed = counters_.subqueries_processed.value();
-  m.handoffs_initiated = counters_.handoffs_initiated.value();
-  m.cliques_replicated = counters_.cliques_replicated.value();
-  m.cells_replicated = counters_.cells_replicated.value();
-  m.distress_rejections = counters_.distress_rejections.value();
-  m.reroutes = counters_.reroutes.value();
-  m.guest_fallbacks = counters_.guest_fallbacks.value();
-  m.maintenance_tasks = counters_.maintenance_tasks.value();
-  m.total_maintenance_time =
-      static_cast<sim::SimTime>(counters_.maintenance_time_us.value());
-  m.node_crashes = counters_.node_crashes.value();
-  m.node_restarts = counters_.node_restarts.value();
-  m.messages_dropped = counters_.messages_dropped.value();
-  m.timeouts_fired = counters_.timeouts_fired.value();
-  m.handoff_timeouts = counters_.handoff_timeouts.value();
-  m.subquery_retries = counters_.subquery_retries.value();
-  m.failovers = counters_.failovers.value();
-  m.failed_subqueries = counters_.failed_subqueries.value();
-  m.partial_queries = counters_.partial_queries.value();
-  m.subqueries_shed = counters_.subqueries_shed.value();
-  m.subqueries_expired = counters_.subqueries_expired.value();
-  m.degraded_subqueries = counters_.degraded_subqueries.value();
-  m.degraded_queries = counters_.degraded_queries.value();
-  m.deadline_cut_subqueries = counters_.deadline_cut_subqueries.value();
-  m.deadline_cut_queries = counters_.deadline_cut_queries.value();
-  m.retries_suppressed = counters_.retries_suppressed.value();
-  m.gossip_probes = membership_->stats().probes_sent;
-  m.false_suspicions = membership_->stats().false_suspicions;
-  m.partitions_observed = fault_.stats().partitions_observed;
-  m.digests_exchanged = counters_.digests_exchanged.value();
-  m.chunks_rewarmed = counters_.chunks_rewarmed.value();
-  m.cells_rewarmed = counters_.cells_rewarmed.value();
-  m.recoveries = counters_.recoveries.value();
-  m.integrity_checksum_failures = store_.integrity().checksum_failures;
-  m.blocks_quarantined = store_.integrity().blocks_quarantined;
-  m.blocks_repaired = store_.integrity().blocks_repaired;
-  m.frame_integrity_failures = counters_.frame_integrity_failures.value();
-  m.messages_redelivered = counters_.messages_redelivered.value();
-  m.poison_messages = counters_.poison_messages.value();
-  m.messages_corrupted = fault_.stats().messages_corrupted;
-  m.messages_truncated = fault_.stats().messages_truncated;
-  m.corrupt_queries = counters_.corrupt_queries.value();
-  m.scrub_cycles = counters_.scrub_cycles.value();
-  m.scrub_repairs = counters_.scrub_repairs.value();
-  m.replica_divergences = counters_.replica_divergences.value();
-  m.rebalance_partitions_moved = counters_.rebalance_partitions_moved.value();
-  m.rebalance_transfers_aborted =
-      counters_.rebalance_transfers_aborted.value();
-  m.rebalance_ownership_reverts =
-      counters_.rebalance_ownership_reverts.value();
-  m.rebalance_epoch_advances = counters_.rebalance_epoch_advances.value();
-  return m;
-}
-
 template <typename Write>
 void StashCluster::write_graphs(Node& node, Write&& write) {
   if (node.exec_engine)
@@ -771,13 +285,13 @@ void StashCluster::sync_chunks(
     std::function<bool()> current, std::function<void()> done) {
   const auto live = [current] { return !current || current(); };
   // Digest Request: puller -> holder.  Unguarded — the holder just answers.
-  send_message(puller, holder, config_.request_bytes, [=, this] {
+  send_message(puller, holder, kRequestBytes, [=, this] {
     // The scope is read on arrival: a recovering node's partitions are
     // whatever the ring says when the holder builds the digest.
     const auto digest = std::make_shared<std::vector<DigestEntry>>(
         sync_digest(holder, scope()));
     // Digest Response: one (level, chunk, content-hash) triple per entry.
-    const std::size_t bytes = config_.request_bytes + 24 * digest->size();
+    const std::size_t bytes = kRequestBytes + 24 * digest->size();
     send_message(holder, puller, bytes, [=, this] {
       if (!live()) return;
       counters_.digests_exchanged.inc();
@@ -809,7 +323,7 @@ void StashCluster::sync_chunks(
         return;
       }
       // Chunk Pull Request: names exactly the wanted complete chunks.
-      const std::size_t req_bytes = config_.request_bytes + 16 * wanted->size();
+      const std::size_t req_bytes = kRequestBytes + 16 * wanted->size();
       send_message(puller, holder, req_bytes, [=, this] {
         if (!live()) return;
         // Ship from the local graph first, then whatever only the guest
@@ -1127,7 +641,7 @@ void StashCluster::start_move(const std::string& partition) {
   // also when there was nothing warm to pull (cold partition, or already
   // in sync): the handoff is then complete as-is.
   send_message(
-      sim::kFrontendNode, to, config_.request_bytes,
+      sim::kFrontendNode, to, kRequestBytes,
       [this, partition, epoch, attempt, donor, to] {
         if (!move_current(partition, epoch, attempt)) return;
         sync_chunks(
@@ -1319,7 +833,7 @@ void StashCluster::send_frame(
   const sim::Tamper tamper = fault_.should_tamper(from, to);
   std::vector<std::uint8_t> wire = frame;
   sim::apply_tamper(tamper, wire);
-  const std::size_t bytes = wire.size() + config_.request_bytes;
+  const std::size_t bytes = wire.size() + kRequestBytes;
   send_message(
       from, to, bytes,
       [this, from, to, frame = std::move(frame), wire = std::move(wire),
@@ -1553,7 +1067,7 @@ void StashCluster::start_attempt(std::uint64_t query_id, std::size_t idx) {
   // Rerouting to a guest helper only makes sense at the partition's owner:
   // a failover successor serves from storage.
   const bool allow_reroute = target == owner;
-  send_message(sim::kFrontendNode, target, config_.request_bytes,
+  send_message(sim::kFrontendNode, target, kRequestBytes,
                [this, query_id, idx, attempt, target, allow_reroute] {
                  route_subquery(query_id, idx, attempt, target, allow_reroute);
                });
@@ -1701,7 +1215,7 @@ void StashCluster::handle_server_pushback(NodeId node_id,
           config_.cost.cache_probes(deg->eval.breakdown.cache_probes) +
           config_.cost.merge(deg->eval.cells.size());
       const std::size_t bytes =
-          deg->eval.cells.size() * config_.response_cell_bytes + 128;
+          deg->eval.cells.size() * kResponseCellBytes + 128;
       loop_.schedule(synth, [this, node_id, bytes, query_id, idx, attempt,
                              deg, cause] {
         if (!fault_.alive(node_id)) return;  // died before it could answer
@@ -1865,7 +1379,7 @@ void StashCluster::route_subquery(std::uint64_t query_id, std::size_t idx,
       ++pending.stats.rerouted_subqueries;
       tracer_.tag(query_id, sq.attempt_span, "reroute", std::to_string(*helper));
       sq.forwarded_to = *helper;
-      send_message(target, *helper, config_.request_bytes,
+      send_message(target, *helper, kRequestBytes,
                    [this, helper = *helper, owner = target, query_id, idx,
                     attempt] {
                      enqueue_guest(helper, owner, query_id, idx, attempt);
@@ -1957,7 +1471,7 @@ void StashCluster::enqueue_local(NodeId node_id, std::uint64_t query_id,
           });
         }
         const std::size_t bytes =
-            slot->cells.size() * config_.response_cell_bytes + 128;
+            slot->cells.size() * kResponseCellBytes + 128;
         send_message(node.id, sim::kFrontendNode, bytes,
                      [this, query_id, idx, attempt, slot]() {
                        deliver_response(query_id, idx, attempt,
@@ -2016,7 +1530,7 @@ void StashCluster::enqueue_guest(NodeId helper_id, NodeId owner_id,
           tracer_.tag(query_id, sq.attempt_span, "guest_fallback",
                       std::to_string(owner_id));
           sq.forwarded_to.reset();
-          send_message(helper.id, owner_id, config_.request_bytes,
+          send_message(helper.id, owner_id, kRequestBytes,
                        [this, owner_id, query_id, idx, attempt] {
                          enqueue_local(owner_id, query_id, idx, attempt);
                        });
@@ -2026,7 +1540,7 @@ void StashCluster::enqueue_guest(NodeId helper_id, NodeId owner_id,
         const Resolution res = it->second.query.res;
         helper.guest_engine.absorb(*slot, res, loop_.now());
         const std::size_t bytes =
-            slot->cells.size() * config_.response_cell_bytes + 128;
+            slot->cells.size() * kResponseCellBytes + 128;
         send_message(helper.id, sim::kFrontendNode, bytes,
                      [this, query_id, idx, attempt, slot]() {
                        deliver_response(query_id, idx, attempt,
@@ -2068,7 +1582,7 @@ void StashCluster::deliver_response(std::uint64_t query_id, std::size_t idx,
   if (config_.retry_budget > 0)
     pending.retry_tokens =
         std::min(config_.retry_budget,
-                 pending.retry_tokens + config_.retry_refill_per_success);
+                 pending.retry_tokens + kRetryRefillPerSuccess);
   PartitionCoverage& cov = pending.stats.coverage[idx];
   cov.kind = PartitionCoverage::Kind::kExact;
   cov.served_res = pending.query.res;
@@ -2100,7 +1614,7 @@ void StashCluster::complete_subquery(std::uint64_t query_id) {
                                        ? pending.stats.result_cells
                                        : pending.cells.size();
   sim::SimTime finish =
-      config_.frontend_overhead + config_.cost.merge(merged_cells);
+      kFrontendOverhead + config_.cost.merge(merged_cells);
   if (pending.deadline != 0)
     finish = std::min(
         finish, std::max<sim::SimTime>(0, pending.deadline - loop_.now()));
@@ -2243,7 +1757,7 @@ void StashCluster::send_distress(NodeId hot_id, Clique clique, int attempt) {
 
   // Distress Request: hot -> helper.
   send_message(
-      hot_id, target, config_.request_bytes,
+      hot_id, target, kRequestBytes,
       [this, hot_id, target, clique = std::move(clique), attempt, settled,
        settle]() mutable {
         Node& helper = *nodes_[target];

@@ -52,7 +52,7 @@ enum class HelperPolicy {
   Neighbor,   // node owning a lateral neighbor region of the hot Clique
 };
 
-/// Metrics-driven elastic scaling (ROADMAP item 4).  Evaluated on a
+/// Metrics-driven elastic scaling (DESIGN.md §15).  Evaluated on a
 /// background tick over the PR-3 observability signals: peak server queue
 /// depth and admission-control sheds.  Hysteresis (consecutive ticks above
 /// or below the watermarks) plus a cooldown between actions keep a bursty
@@ -85,13 +85,6 @@ struct ClusterConfig {
   sim::CostModel cost;
   std::uint64_t seed = 0x5354415348ULL;
 
-  // Message sizing for the network cost model.
-  std::size_t request_bytes = 256;
-  std::size_t response_cell_bytes = 12;   // cell id + requested aggregate
-  // (Replication transfers are sized from the real wire codec, not a
-  // per-cell constant — see send_distress.)
-  /// Front-end parse/render overhead added to every query's latency.
-  sim::SimTime frontend_overhead = 1 * sim::kMillisecond;
   /// Per-subquery fixed server-side overhead (dispatch, deserialize).
   sim::SimTime subquery_overhead = 200;   // 0.2 ms
   /// Attempts to find a helper around the antipode before giving up.
@@ -162,10 +155,9 @@ struct ClusterConfig {
   sim::SimTime query_deadline = 0;
   /// Per-query retry token bucket (0 = unlimited, the legacy behavior).
   /// Each retry spends one token; each exact subquery response refills
-  /// retry_refill_per_success tokens (capped at the initial budget), so
-  /// retries can never multiply offered load past a configured factor.
+  /// half a token (capped at the initial budget), so retries can never
+  /// multiply offered load past a configured factor.
   double retry_budget = 0.0;
-  double retry_refill_per_success = 0.5;
   /// Clamp on the exponential retry backoff: delay before attempt k+1 is
   /// min(2^(k-1) * retry_backoff, max_retry_backoff), +/- jitter.
   /// 0 disables the clamp (unbounded doubling).
@@ -196,7 +188,7 @@ struct ClusterConfig {
   /// Completed traces retained (ring buffer; oldest evicted first).
   std::size_t trace_capacity = 256;
 
-  // --- wall-clock execution (src/exec/, ROADMAP item 1) ---
+  // --- wall-clock execution (src/exec/, DESIGN.md §13) ---
   /// Worker threads per node for the wall-clock parallel datapath.  0
   /// keeps the pure discrete-event mode (node evaluations run inline on
   /// the sim thread).  With N > 0 each node shards its chunk work across
@@ -218,7 +210,7 @@ struct ClusterConfig {
   /// default) — task delays, task exceptions, worker stalls.
   exec::FaultHooks exec_faults;
 
-  // --- elastic membership & ring rebalancing (ROADMAP item 4) ---
+  // --- elastic membership & ring rebalancing (DESIGN.md §15) ---
   /// Total addressable node slots.  0 (the default) keeps the historical
   /// fixed-size cluster.  When > num_nodes, slots [num_nodes, max_nodes)
   /// are provisioned as *standbys*: they exist (store access, server,
@@ -306,66 +298,137 @@ struct QueryStats {
   }
 };
 
-/// Flat counter view kept for compatibility: every field is now backed by a
-/// named metric in the cluster's MetricsRegistry (obs/metrics.hpp), and
-/// StashCluster::metrics() materializes this struct from those counters.
-/// New consumers should prefer metrics_registry().snapshot(), which also
-/// carries gauges and latency histograms.
+/// The one list of the cluster's counters: X(field, exported name, help).
+/// Each row is a ClusterMetrics field, a Counters member bound to the named
+/// registry counter, and a metrics() line (cluster_metrics.cpp) — a new
+/// cluster counter is one line here plus its `counters_.field.inc()` calls.
+#define STASH_CLUSTER_COUNTERS(X)                                           \
+  X(queries_completed, "stash_queries_completed_total",                     \
+    "Queries completed (including partial)")                                \
+  X(subqueries_processed, "stash_subqueries_processed_total",               \
+    "Subqueries executed by node servers")                                  \
+  X(handoffs_initiated, "stash_handoffs_initiated_total",                   \
+    "Hotspot handoff rounds started")                                       \
+  X(cliques_replicated, "stash_cliques_replicated_total",                   \
+    "Cliques installed on helper nodes")                                    \
+  X(cells_replicated, "stash_cells_replicated_total",                       \
+    "Cells shipped in replication payloads")                                \
+  X(distress_rejections, "stash_distress_rejections_total",                 \
+    "Distress requests NACKed or abandoned")                                \
+  X(reroutes, "stash_reroutes_total",                                       \
+    "Subqueries rerouted to a guest helper")                                \
+  X(guest_fallbacks, "stash_guest_fallbacks_total",                         \
+    "Guest-served subqueries that fell back to the owner")                  \
+  X(maintenance_tasks, "stash_maintenance_tasks_total",                     \
+    "Background graph-population tasks run")                                \
+  X(maintenance_time_us, "stash_maintenance_time_us_total",                 \
+    "Simulated microseconds spent in background maintenance")               \
+  /* fault / degradation */                                                 \
+  X(node_crashes, "stash_node_crashes_total",                               \
+    "Node crashes (scripted or forced)")                                    \
+  X(node_restarts, "stash_node_restarts_total", "Node restarts")            \
+  X(messages_dropped, "stash_messages_dropped_total",                       \
+    "Messages lost by fault injection")                                     \
+  X(timeouts_fired, "stash_timeouts_total",                                 \
+    "Subquery and handoff timeouts fired")                                  \
+  X(handoff_timeouts, "stash_handoff_timeouts_total",                       \
+    "Handoff watchdog expirations")                                         \
+  X(subquery_retries, "stash_subquery_retries_total",                       \
+    "Subquery retry attempts issued")                                       \
+  X(failovers, "stash_failovers_total",                                     \
+    "Subqueries served by a DHT successor")                                 \
+  X(failed_subqueries, "stash_failed_subqueries_total",                     \
+    "Subqueries that exhausted every attempt")                              \
+  X(partial_queries, "stash_partial_queries_total",                         \
+    "Queries completed with missing partitions")                            \
+  /* overload control & degraded answers */                                 \
+  X(subqueries_shed, "stash_subqueries_shed_total",                         \
+    "Subquery jobs rejected by node admission control")                     \
+  X(subqueries_expired, "stash_subqueries_expired_total",                   \
+    "Subquery jobs whose deadline expired in a node queue")                 \
+  X(degraded_subqueries, "stash_degraded_subqueries_total",                 \
+    "Subqueries answered from a cached coarser ancestor level")             \
+  X(degraded_queries, "stash_degraded_queries_total",                       \
+    "Queries completed with at least one degraded partition")               \
+  X(deadline_cut_subqueries, "stash_deadline_cut_subqueries_total",         \
+    "Subqueries cut off when their query deadline fired")                   \
+  X(deadline_cut_queries, "stash_deadline_cut_queries_total",               \
+    "Queries finalized by the deadline timer")                              \
+  X(retries_suppressed, "stash_retries_suppressed_total",                   \
+    "Retries denied by an exhausted per-query retry budget")                \
+  /* anti-entropy recovery */                                               \
+  X(digests_exchanged, "stash_digests_exchanged_total",                     \
+    "PLM digests received by recovering nodes (anti-entropy)")              \
+  X(chunks_rewarmed, "stash_chunks_rewarmed_total",                         \
+    "Complete chunks pulled back into a rejoining node's cache")            \
+  X(cells_rewarmed, "stash_cells_rewarmed_total",                           \
+    "Cells carried by anti-entropy re-warm payloads")                       \
+  X(recoveries, "stash_recoveries_total",                                   \
+    "Anti-entropy recovery rounds started")                                 \
+  /* data integrity */                                                      \
+  X(frame_integrity_failures, "stash_frame_integrity_failures_total",       \
+    "Wire frames rejected by magic/length/checksum validation")             \
+  X(messages_redelivered, "stash_messages_redelivered_total",               \
+    "Corrupt frames NACKed and retransmitted from the sender")              \
+  X(poison_messages, "stash_poison_messages_total",                         \
+    "Frames still corrupt after the redelivery budget (dropped)")           \
+  X(corrupt_queries, "stash_corrupt_queries_total",                         \
+    "Queries flagged partial because a scanned block failed its checksum")  \
+  X(scrub_cycles, "stash_scrub_cycles_total",                               \
+    "Background scrubber passes run")                                       \
+  X(scrub_repairs, "stash_scrub_repairs_total",                             \
+    "Quarantined blocks rewritten from pristine data by the scrubber")      \
+  X(replica_divergences, "stash_replica_divergences_total",                 \
+    "Cached chunks dropped and re-pulled after an anti-entropy digest "     \
+    "mismatch")                                                             \
+  /* elastic membership & ring rebalancing */                               \
+  X(rebalance_partitions_moved, "stash_rebalance_partitions_moved_total",   \
+    "Partition ownership flips completed by ring rebalancing")              \
+  X(rebalance_transfers_aborted, "stash_rebalance_transfers_aborted_total", \
+    "Warm rebalance transfer attempts that timed out or failed")            \
+  X(rebalance_ownership_reverts, "stash_rebalance_ownership_reverts_total", \
+    "Rebalance moves reverted to the old owner (target died mid-join)")     \
+  X(rebalance_epoch_advances, "stash_rebalance_epoch_advances_total",       \
+    "Membership ring epochs installed by the front-end")
+
+/// Counters another component already keeps, read at snapshot time:
+/// X(field, exported name, help, source), where `source` is a StashCluster
+/// member expression.  The registry callback and metrics() both read it.
+#define STASH_CLUSTER_READ_COUNTERS(X)                                      \
+  X(gossip_probes, "stash_gossip_probes_total",                             \
+    "SWIM probe pings sent by all observers",                               \
+    membership_->stats().probes_sent)                                       \
+  X(false_suspicions, "stash_false_suspicions_total",                       \
+    "Suspected members later refuted alive",                                \
+    membership_->stats().false_suspicions)                                  \
+  X(partitions_observed, "stash_partitions_observed_total",                 \
+    "Network partitions activated by the fault plan",                       \
+    fault_.stats().partitions_observed)                                     \
+  X(integrity_checksum_failures, "stash_integrity_checksum_failures_total", \
+    "Storage scans that hit a block failing its checksum",                  \
+    store_.integrity().checksum_failures)                                   \
+  X(blocks_quarantined, "stash_blocks_quarantined_total",                   \
+    "Distinct storage blocks quarantined after failing verification",       \
+    store_.integrity().blocks_quarantined)                                  \
+  X(blocks_repaired, "stash_blocks_repaired_total",                         \
+    "Quarantined or rotted blocks rewritten from pristine data",            \
+    store_.integrity().blocks_repaired)                                     \
+  X(messages_corrupted, "stash_messages_corrupted_total",                   \
+    "In-flight messages bit-flipped by fault injection",                    \
+    fault_.stats().messages_corrupted)                                      \
+  X(messages_truncated, "stash_messages_truncated_total",                   \
+    "In-flight messages torn short by fault injection",                     \
+    fault_.stats().messages_truncated)
+
+/// Flat counter view, one field per table row above, materialized by
+/// StashCluster::metrics().  New consumers should prefer
+/// metrics_registry().snapshot(), which also carries gauges and latency
+/// histograms.
 struct ClusterMetrics {
-  std::uint64_t queries_completed = 0;
-  std::uint64_t subqueries_processed = 0;
-  std::uint64_t handoffs_initiated = 0;
-  std::uint64_t cliques_replicated = 0;
-  std::uint64_t cells_replicated = 0;
-  std::uint64_t distress_rejections = 0;
-  std::uint64_t reroutes = 0;
-  std::uint64_t guest_fallbacks = 0;
-  std::uint64_t maintenance_tasks = 0;
-  sim::SimTime total_maintenance_time = 0;
-  // --- fault / degradation observability ---
-  std::uint64_t node_crashes = 0;
-  std::uint64_t node_restarts = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t timeouts_fired = 0;      // subquery + handoff timeouts
-  std::uint64_t handoff_timeouts = 0;
-  std::uint64_t subquery_retries = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t failed_subqueries = 0;
-  std::uint64_t partial_queries = 0;
-  // --- overload control & degraded answers ---
-  std::uint64_t subqueries_shed = 0;       // admission-control rejections
-  std::uint64_t subqueries_expired = 0;    // job deadline expired in a queue
-  std::uint64_t degraded_subqueries = 0;   // answered from a coarser ancestor
-  std::uint64_t degraded_queries = 0;      // >= 1 degraded partition
-  std::uint64_t deadline_cut_subqueries = 0;  // cut by the query deadline
-  std::uint64_t deadline_cut_queries = 0;     // finalized by the deadline timer
-  std::uint64_t retries_suppressed = 0;    // denied by the retry budget
-  // --- membership & anti-entropy recovery ---
-  std::uint64_t gossip_probes = 0;        // SWIM pings sent, all observers
-  std::uint64_t false_suspicions = 0;     // suspect -> alive refutations seen
-  std::uint64_t partitions_observed = 0;  // PartitionEvents activated
-  std::uint64_t digests_exchanged = 0;    // PLM digests received by recoverers
-  std::uint64_t chunks_rewarmed = 0;      // complete chunks pulled back
-  std::uint64_t cells_rewarmed = 0;       // cells carried by those chunks
-  std::uint64_t recoveries = 0;           // anti-entropy rounds started
-  // --- data integrity ---
-  std::uint64_t integrity_checksum_failures = 0;  // storage scans hitting rot
-  std::uint64_t blocks_quarantined = 0;     // distinct blocks quarantined
-  std::uint64_t blocks_repaired = 0;        // quarantined blocks rewritten
-  std::uint64_t frame_integrity_failures = 0;  // wire frames rejected
-  std::uint64_t messages_redelivered = 0;   // corrupt frames retransmitted
-  std::uint64_t poison_messages = 0;        // frames dropped after the budget
-  std::uint64_t messages_corrupted = 0;     // link bit-flips injected
-  std::uint64_t messages_truncated = 0;     // link truncations injected
-  std::uint64_t corrupt_queries = 0;        // queries flagged by corrupt blocks
-  std::uint64_t scrub_cycles = 0;           // scrubber ticks run
-  std::uint64_t scrub_repairs = 0;          // blocks repaired by the scrubber
-  std::uint64_t replica_divergences = 0;    // cached chunks dropped + re-pulled
-  // --- elastic membership & ring rebalancing ---
-  std::uint64_t rebalance_partitions_moved = 0;  // ownership flips completed
-  std::uint64_t rebalance_transfers_aborted = 0; // warm transfers timed out
-  std::uint64_t rebalance_ownership_reverts = 0; // moves undone (joiner died)
-  std::uint64_t rebalance_epoch_advances = 0;    // ring epochs installed
+#define STASH_X(field, ...) std::uint64_t field = 0;
+  STASH_CLUSTER_COUNTERS(STASH_X)
+  STASH_CLUSTER_READ_COUNTERS(STASH_X)
+#undef STASH_X
 };
 
 class StashCluster {
@@ -577,52 +640,15 @@ class StashCluster {
   };
 
   /// Registry-backed counters, bound once at construction so hot-path
-  /// increments never touch the registry lock.  Field-for-field mirror of
-  /// the ClusterMetrics compatibility struct.
+  /// increments never touch the registry lock.  One member per
+  /// STASH_CLUSTER_COUNTERS row.
   struct Counters {
-    explicit Counters(obs::MetricsRegistry& reg);
-    obs::Counter& queries_completed;
-    obs::Counter& subqueries_processed;
-    obs::Counter& handoffs_initiated;
-    obs::Counter& cliques_replicated;
-    obs::Counter& cells_replicated;
-    obs::Counter& distress_rejections;
-    obs::Counter& reroutes;
-    obs::Counter& guest_fallbacks;
-    obs::Counter& maintenance_tasks;
-    obs::Counter& maintenance_time_us;
-    obs::Counter& node_crashes;
-    obs::Counter& node_restarts;
-    obs::Counter& messages_dropped;
-    obs::Counter& timeouts_fired;
-    obs::Counter& handoff_timeouts;
-    obs::Counter& subquery_retries;
-    obs::Counter& failovers;
-    obs::Counter& failed_subqueries;
-    obs::Counter& partial_queries;
-    obs::Counter& subqueries_shed;
-    obs::Counter& subqueries_expired;
-    obs::Counter& degraded_subqueries;
-    obs::Counter& degraded_queries;
-    obs::Counter& deadline_cut_subqueries;
-    obs::Counter& deadline_cut_queries;
-    obs::Counter& retries_suppressed;
-    obs::Counter& digests_exchanged;
-    obs::Counter& chunks_rewarmed;
-    obs::Counter& cells_rewarmed;
-    obs::Counter& recoveries;
-    obs::Counter& frame_integrity_failures;
-    obs::Counter& messages_redelivered;
-    obs::Counter& poison_messages;
-    obs::Counter& corrupt_queries;
-    obs::Counter& scrub_cycles;
-    obs::Counter& scrub_repairs;
-    obs::Counter& replica_divergences;
-    obs::Counter& rebalance_partitions_moved;
-    obs::Counter& rebalance_transfers_aborted;
-    obs::Counter& rebalance_ownership_reverts;
-    obs::Counter& rebalance_epoch_advances;
+#define STASH_X(field, ...) obs::Counter& field;
+    STASH_CLUSTER_COUNTERS(STASH_X)
+#undef STASH_X
   };
+  /// Registers every STASH_CLUSTER_COUNTERS row in `reg` and binds it.
+  static Counters bind_counters(obs::MetricsRegistry& reg);
 
   /// One entry of an anti-entropy digest: "I hold (res, chunk) complete,
   /// with this PLM bitmap hash".

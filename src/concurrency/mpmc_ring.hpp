@@ -1,7 +1,7 @@
 // Bounded lock-free MPMC ring with sequence-numbered slots.
 //
 // This is the queue that will carry the dispatch→worker path of the
-// real-thread parallel datapath (ROADMAP item 1).  The design is the
+// real-thread parallel datapath (DESIGN.md §13).  The design is the
 // classic bounded MPMC ring used by ODP's lock-free queues and Vyukov's
 // mpmc_bounded_queue: each slot carries a sequence number that encodes,
 // relative to the producer/consumer cursors, whether the slot is free,

@@ -1,5 +1,5 @@
 // WorkerPool: real threads fed through per-worker MpmcRings, with work
-// stealing and a WakeupGate park/wake protocol (ROADMAP item 1).
+// stealing and a WakeupGate park/wake protocol (DESIGN.md §13).
 //
 // Topology: each worker owns one bounded MpmcRing; submit() places tasks
 // round-robin and wakes the gate.  A worker drains its own ring first,

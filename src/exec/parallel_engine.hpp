@@ -1,4 +1,4 @@
-// Wall-clock execution mode (ROADMAP item 1): shard a query's STASH-graph
+// Wall-clock execution mode (DESIGN.md §13): shard a query's STASH-graph
 // work — cell scan, V-B roll-up, merge — across real worker threads.
 //
 // The unit of parallelism is the chunk: QueryEngine::evaluate_chunk is

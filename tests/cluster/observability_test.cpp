@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/civil_time.hpp"
+#include "geo/geohash.hpp"
 
 namespace stash::cluster {
 namespace {
@@ -119,11 +120,49 @@ TEST(ClusterObservabilityTest, TracingDisabledRecordsNothing) {
 }
 
 TEST(ClusterObservabilityTest, CompatViewMatchesRegistryCounters) {
-  StashCluster cluster(small_config(), shared_generator());
-  cluster.run_query(county_query());
+  // A faulted run that moves every snapshot-time counter: a corrupting
+  // link, scripted bit-rot under the scrubber, a short partition around
+  // the victim, then a crash, a failover query and a restart.
+  ClusterConfig config = small_config();
+  config.subquery_timeout = 50 * sim::kMillisecond;
+  config.recovery_cooldown = 20 * sim::kMillisecond;
+  config.suspect_ttl = 200 * sim::kMillisecond;
+  config.membership.probe_interval = 50 * sim::kMillisecond;
+  config.membership.probe_timeout = 5 * sim::kMillisecond;
+  config.membership.suspicion_timeout = 100 * sim::kMillisecond;
+  config.scrub_interval = 100 * sim::kMillisecond;
+  AggregationQuery query = county_query();
+  query.area = query.area.scaled(16.0);
+  const auto partitions = geohash::covering(query.area, 2);
+  const NodeId victim = ZeroHopDht(config.num_nodes, 2)
+                            .node_for_partition(partitions.front());
+  config.fault_plan.links.push_back(
+      {.corrupt_probability = 0.3, .truncate_probability = 0.5});
+  config.fault_plan.bitrot.push_back({.partition = partitions.back(),
+                                      .day = query.time.begin / 86400,
+                                      .at = 0});
+  std::vector<std::uint32_t> rest{sim::kFrontendNode};
+  for (NodeId id = 0; id < config.num_nodes; ++id)
+    if (id != victim) rest.push_back(id);
+  config.fault_plan.partitions.push_back(
+      {.groups = {{victim}, rest},
+       .at = 300 * sim::kMillisecond,
+       .heal_at = 600 * sim::kMillisecond});
+  StashCluster cluster(config, shared_generator());
+  cluster.run_query(query);
+  cluster.loop().run_until(400 * sim::kMillisecond);
+  cluster.run_query(query);
+  cluster.loop().run_until(sim::kSecond);
+  cluster.crash_node(victim);
+  cluster.run_query(query);  // fails over to the victim's successors
+  cluster.restart_node(victim);
+  cluster.loop().run_until(2 * sim::kSecond);
+  cluster.run_query(query);
+
   const ClusterMetrics m = cluster.metrics();
-  EXPECT_EQ(m.queries_completed, 1u);
-  EXPECT_GE(m.subqueries_processed, 1u);
+  EXPECT_EQ(m.queries_completed, 4u);
+  EXPECT_EQ(m.node_crashes, 1u);
+  EXPECT_EQ(m.node_restarts, 1u);
   const obs::MetricsSnapshot snap = cluster.metrics_registry().snapshot();
   const auto scalar = [&](const std::string& name) -> double {
     for (const auto& s : snap.scalars)
@@ -131,12 +170,23 @@ TEST(ClusterObservabilityTest, CompatViewMatchesRegistryCounters) {
     ADD_FAILURE() << "missing metric " << name;
     return -1.0;
   };
-  EXPECT_EQ(scalar("stash_queries_completed_total"),
-            static_cast<double>(m.queries_completed));
-  EXPECT_EQ(scalar("stash_subqueries_processed_total"),
-            static_cast<double>(m.subqueries_processed));
-  EXPECT_EQ(scalar("stash_maintenance_tasks_total"),
-            static_cast<double>(m.maintenance_tasks));
+  // Every table row: the exported name follows the field (timeouts_fired
+  // is the one historical exception), and the compat field equals the
+  // registry value under that name.
+  const auto check = [&](const std::string& field, const std::string& name,
+                         std::uint64_t value) {
+    EXPECT_EQ(name, field == "timeouts_fired" ? "stash_timeouts_total"
+                                              : "stash_" + field + "_total");
+    EXPECT_EQ(scalar(name), static_cast<double>(value)) << field;
+  };
+#define STASH_X(field, name, ...) check(#field, name, m.field);
+  STASH_CLUSTER_COUNTERS(STASH_X)
+#undef STASH_X
+#define STASH_X(field, name, ...) \
+  check(#field, name, m.field);   \
+  EXPECT_GT(m.field, 0u) << #field;
+  STASH_CLUSTER_READ_COUNTERS(STASH_X)
+#undef STASH_X
   // Callback gauges see live cluster state.
   EXPECT_EQ(scalar("stash_cached_cells"),
             static_cast<double>(cluster.total_cached_cells()));
