@@ -64,7 +64,6 @@ cluster::ClusterConfig base_config(bool controls) {
   cluster::ClusterConfig config;
   config.num_nodes = kNodes;
   config.mode = cluster::SystemMode::StashNoReplication;
-  config.discard_payload = true;
   config.tracing = false;
   config.subquery_timeout = 25 * sim::kMillisecond;
   if (controls) {

@@ -23,7 +23,6 @@ double throughput_qps(cluster::SystemMode mode, QueryGroup group,
   workload::WorkloadGenerator wl;
   const auto queries = wl.throughput_workload(group, rects, pans, 0.1);
   auto config = paper_cluster_config(mode);
-  config.discard_payload = true;  // bound front-end memory for 10k queries
   cluster::StashCluster cluster_obj(config, shared_generator());
   auto* cluster = &cluster_obj;
   // The paper fires the whole request set at the cluster; throughput is

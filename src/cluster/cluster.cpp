@@ -42,6 +42,31 @@ StashCluster::Node::Node(NodeId node_id, const StashConfig& stash_config,
       last_handoff_attempt(std::numeric_limits<sim::SimTime>::min() / 2),
       rng(seed) {}
 
+Evaluation StashCluster::Node::evaluate(std::string_view partition,
+                                        const AggregationQuery& query,
+                                        EvalMode mode,
+                                        std::uint64_t deadline_ms,
+                                        bool* partial) const {
+  if (!exec_engine) return engine.evaluate_partition(partition, query, mode);
+  if (partial == nullptr)
+    return exec_engine->evaluate_partition(partition, query, mode);
+  exec::ExecOptions options;
+  if (deadline_ms > 0)
+    options.deadline_ns = exec::host_now_ns() + deadline_ms * 1'000'000ull;
+  exec::BatchReport report;
+  Evaluation eval =
+      exec_engine->evaluate_partition(partition, query, mode, options, report);
+  *partial = !report.complete();
+  return eval;
+}
+
+MaintenanceStats StashCluster::Node::absorb(const Evaluation& eval,
+                                            const Resolution& res,
+                                            sim::SimTime now) {
+  return exec_engine ? exec_engine->absorb(eval, res, now)
+                     : engine.absorb(eval, res, now);
+}
+
 StashCluster::StashCluster(ClusterConfig config,
                            std::shared_ptr<const NamGenerator> generator)
     : config_(config),
@@ -929,15 +954,10 @@ sim::SimTime StashCluster::maintenance_time(const MaintenanceStats& m) const {
 
 std::vector<ChunkKey> StashCluster::subquery_chunks(
     const AggregationQuery& query, const std::string& partition) const {
-  std::vector<ChunkKey> out;
   const BoundingBox clipped = query.area.intersection(geohash::decode(partition));
-  if (!clipped.valid()) return out;
-  const int chunk_prec = chunk_spatial_precision(query.res.spatial,
-                                                 config_.stash.chunk_precision);
-  const auto bins = temporal_covering(query.time, query.res.temporal);
-  for (const auto& prefix : geohash::covering(clipped, chunk_prec))
-    for (const auto& bin : bins) out.emplace_back(prefix, bin);
-  return out;
+  if (!clipped.valid()) return {};
+  return chunk_covering(clipped, query.time, query.res,
+                        config_.stash.chunk_precision);
 }
 
 void StashCluster::submit(const AggregationQuery& query, RichCallback done) {
@@ -1244,49 +1264,66 @@ void StashCluster::deliver_degraded(
   Pending& pending = it->second;
   Subquery& sq = pending.subqueries[idx];
   if (sq.done || sq.attempts != attempt) return;  // late duplicate: ignore
+  // coarsening_steps == 0 means the node's cache held the *exact* level in
+  // full — the shed job would have produced this very answer.
+  const bool exact = deg->coarsening_steps == 0;
+  settle_subquery(query_id, pending, idx, exact ? "ok" : "degraded",
+                  &deg->eval, deg->served_res);
+  tracer_.tag(query_id, sq.attempt_span, "cause", cause);
+  if (!exact) {
+    tracer_.tag(query_id, sq.span, "served_res", deg->served_res.to_string());
+    tracer_.tag(query_id, sq.span, "coarsening_steps",
+                std::to_string(deg->coarsening_steps));
+    ++pending.stats.degraded_subqueries;
+    counters_.degraded_subqueries.inc();
+  }
+  absolve(sq.target);  // the node answered: alive, just busy
+  complete_subquery(query_id);
+}
+
+void StashCluster::settle_subquery(std::uint64_t query_id, Pending& pending,
+                                   std::size_t idx, const char* outcome,
+                                   Evaluation* answer,
+                                   const Resolution& served_res) {
+  Subquery& sq = pending.subqueries[idx];
   sq.done = true;
   if (sq.timeout != 0) {
     loop_.cancel(sq.timeout);
     sq.timeout = 0;
   }
-  // coarsening_steps == 0 means the node's cache held the *exact* level in
-  // full — the shed job would have produced this very answer.
-  const bool exact = deg->coarsening_steps == 0;
-  tracer_.tag(query_id, sq.attempt_span, "outcome",
-              exact ? "ok" : "degraded");
-  tracer_.tag(query_id, sq.attempt_span, "cause", cause);
+  tracer_.tag(query_id, sq.attempt_span, "outcome", outcome);
   tracer_.end_span(query_id, sq.attempt_span, loop_.now());
-  tracer_.tag(query_id, sq.span, "cells",
-              std::to_string(deg->eval.cells.size()));
-  tracer_.tag(query_id, sq.span, "attempts", std::to_string(sq.attempts));
-  if (!exact) {
-    tracer_.tag(query_id, sq.span, "served_res", deg->served_res.to_string());
-    tracer_.tag(query_id, sq.span, "coarsening_steps",
-                std::to_string(deg->coarsening_steps));
-  }
-  tracer_.end_span(query_id, sq.span, loop_.now());
-  absolve(sq.target);  // the node answered: alive, just busy
-
   PartitionCoverage& cov = pending.stats.coverage[idx];
-  cov.kind = exact ? PartitionCoverage::Kind::kExact
-                   : PartitionCoverage::Kind::kDegraded;
-  cov.served_res = deg->served_res;
   cov.attempts = sq.attempts;
-  if (!exact) {
-    ++pending.stats.degraded_subqueries;
-    counters_.degraded_subqueries.inc();
-  }
-  pending.stats.breakdown += deg->eval.breakdown;
-  if (config_.discard_payload) {
-    pending.stats.result_cells += deg->eval.cells.size();
+  if (answer == nullptr) {  // kind stays kMissing
+    tracer_.tag(query_id, sq.span, "outcome", outcome);
   } else {
-    for (auto& [key, summary] : deg->eval.cells) {
-      auto [cell_it, inserted] =
-          pending.cells.try_emplace(key, std::move(summary));
-      if (!inserted) cell_it->second.merge(summary);
-    }
+    tracer_.tag(query_id, sq.span, "cells",
+                std::to_string(answer->cells.size()));
+    cov.kind = served_res == pending.query.res
+                   ? PartitionCoverage::Kind::kExact
+                   : PartitionCoverage::Kind::kDegraded;
+    cov.served_res = served_res;
   }
-  complete_subquery(query_id);
+  tracer_.tag(query_id, sq.span, "attempts", std::to_string(sq.attempts));
+  tracer_.end_span(query_id, sq.span, loop_.now());
+  if (answer == nullptr) return;
+  pending.stats.breakdown += answer->breakdown;
+  pending.stats.result_cells += answer->cells.size();
+  if (!pending.done_rich) return;
+  for (auto& [key, summary] : answer->cells) {
+    auto [cell_it, inserted] =
+        pending.cells.try_emplace(key, std::move(summary));
+    if (!inserted) cell_it->second.merge(summary);
+  }
+}
+
+void StashCluster::open_merge(std::uint64_t query_id, Pending& pending) {
+  tracer_.end_span(query_id, pending.scatter_span, loop_.now());
+  pending.merge_span =
+      tracer_.start_span(query_id, pending.root_span, "merge", loop_.now());
+  tracer_.tag(query_id, pending.merge_span, "cells",
+              std::to_string(pending.stats.result_cells));
 }
 
 void StashCluster::on_query_deadline(std::uint64_t query_id) {
@@ -1300,35 +1337,15 @@ void StashCluster::on_query_deadline(std::uint64_t query_id) {
   if (pending.remaining == 0) return;
   counters_.deadline_cut_queries.inc();
   for (std::size_t i = 0; i < pending.subqueries.size(); ++i) {
-    Subquery& sq = pending.subqueries[i];
-    if (sq.done) continue;
-    sq.done = true;
-    if (sq.timeout != 0) {
-      loop_.cancel(sq.timeout);
-      sq.timeout = 0;
-    }
-    if (sq.attempt_span != obs::kNoSpan) {
-      tracer_.tag(query_id, sq.attempt_span, "outcome", "deadline");
-      tracer_.end_span(query_id, sq.attempt_span, loop_.now());
-    }
-    tracer_.tag(query_id, sq.span, "outcome", "deadline");
-    tracer_.tag(query_id, sq.span, "attempts", std::to_string(sq.attempts));
-    tracer_.end_span(query_id, sq.span, loop_.now());
+    if (pending.subqueries[i].done) continue;
+    settle_subquery(query_id, pending, i, "deadline");
     ++pending.stats.deadline_subqueries;
     counters_.deadline_cut_subqueries.inc();
-    pending.stats.coverage[i].attempts = sq.attempts;  // kind stays kMissing
   }
   // Whatever has arrived is the answer: close the scatter, open a
   // zero-width merge (the budget is spent), and hand the result back *at*
   // the deadline, never after it.
-  tracer_.end_span(query_id, pending.scatter_span, loop_.now());
-  const std::size_t merged_cells = config_.discard_payload
-                                       ? pending.stats.result_cells
-                                       : pending.cells.size();
-  pending.merge_span =
-      tracer_.start_span(query_id, pending.root_span, "merge", loop_.now());
-  tracer_.tag(query_id, pending.merge_span, "cells",
-              std::to_string(merged_cells));
+  open_merge(query_id, pending);
   tracer_.tag(query_id, pending.root_span, "deadline_cut", "true");
   pending.remaining = 0;
   finalize_query(query_id);
@@ -1340,17 +1357,11 @@ void StashCluster::fail_subquery(std::uint64_t query_id, std::size_t idx) {
   Pending& pending = it->second;
   Subquery& sq = pending.subqueries[idx];
   if (sq.done) return;
-  sq.done = true;
-  if (sq.timeout != 0) {
-    loop_.cancel(sq.timeout);
-    sq.timeout = 0;
-  }
+  // handle_attempt_failure already closed the attempt with its reason.
+  sq.attempt_span = obs::kNoSpan;
+  settle_subquery(query_id, pending, idx, "failed");
   ++pending.stats.failed_subqueries;
   counters_.failed_subqueries.inc();
-  pending.stats.coverage[idx].attempts = sq.attempts;  // kind stays kMissing
-  tracer_.tag(query_id, sq.span, "outcome", "failed");
-  tracer_.tag(query_id, sq.span, "attempts", std::to_string(sq.attempts));
-  tracer_.end_span(query_id, sq.span, loop_.now());
   complete_subquery(query_id);
 }
 
@@ -1407,23 +1418,11 @@ void StashCluster::enqueue_local(NodeId node_id, std::uint64_t query_id,
         if (it == pending_.end()) return 0;
         const Subquery& sq = it->second.subqueries[idx];
         if (sq.done || sq.attempts != attempt) return 0;  // superseded
-        if (node.exec_engine) {
-          // Wall-clock datapath: evaluate under the configured host-time
-          // budget.  An expired or fault-hit batch comes back partial;
-          // the completion below reroutes it through the PR-4 pushback
-          // taxonomy instead of delivering a half answer.
-          exec::ExecOptions exec_opts;
-          if (config_.exec_deadline_ms > 0)
-            exec_opts.deadline_ns = exec::host_now_ns() +
-                                    config_.exec_deadline_ms * 1'000'000ull;
-          exec::BatchReport exec_report;
-          *slot = node.exec_engine->evaluate_partition(
-              sq.partition, it->second.query, mode, exec_opts, exec_report);
-          *exec_partial = !exec_report.complete();
-        } else {
-          *slot = node.engine.evaluate_partition(sq.partition,
-                                                 it->second.query, mode);
-        }
+        // On the wall-clock datapath an expired or fault-hit batch comes
+        // back partial; the completion below reroutes it through the
+        // pushback taxonomy instead of delivering a half answer.
+        *slot = node.evaluate(sq.partition, it->second.query, mode,
+                              config_.exec_deadline_ms, exec_partial.get());
         return service_time(slot->breakdown);
       },
       [this, &node, query_id, idx, attempt, slot,
@@ -1459,10 +1458,7 @@ void StashCluster::enqueue_local(NodeId node_id, std::uint64_t query_id,
           node.maintenance.submit([this, &node, res,
                                    maintenance_slot]() -> sim::SimTime {
             const MaintenanceStats stats =
-                node.exec_engine
-                    ? node.exec_engine->absorb(*maintenance_slot, res,
-                                               loop_.now())
-                    : node.engine.absorb(*maintenance_slot, res, loop_.now());
+                node.absorb(*maintenance_slot, res, loop_.now());
             const sim::SimTime t = maintenance_time(stats);
             counters_.maintenance_tasks.inc();
             counters_.maintenance_time_us.inc(static_cast<std::uint64_t>(t));
@@ -1557,15 +1553,7 @@ void StashCluster::deliver_response(std::uint64_t query_id, std::size_t idx,
   Pending& pending = it->second;
   Subquery& sq = pending.subqueries[idx];
   if (sq.done || sq.attempts != attempt) return;  // late duplicate: ignore
-  sq.done = true;
-  if (sq.timeout != 0) {
-    loop_.cancel(sq.timeout);
-    sq.timeout = 0;
-  }
-  tracer_.tag(query_id, sq.attempt_span, "outcome", "ok");
-  tracer_.end_span(query_id, sq.attempt_span, loop_.now());
-  tracer_.tag(query_id, sq.span, "cells", std::to_string(eval.cells.size()));
-  tracer_.tag(query_id, sq.span, "attempts", std::to_string(sq.attempts));
+  settle_subquery(query_id, pending, idx, "ok", &eval, pending.query.res);
   if (!eval.corrupt_blocks.empty()) {
     // A scanned block failed its checksum: the day's records were withheld
     // (never merged, never absorbed), so the answer has an honest hole.
@@ -1573,7 +1561,6 @@ void StashCluster::deliver_response(std::uint64_t query_id, std::size_t idx,
     tracer_.tag(query_id, sq.span, "corrupt_blocks",
                 std::to_string(eval.corrupt_blocks.size()));
   }
-  tracer_.end_span(query_id, sq.span, loop_.now());
   // Evidence of life closes the circuit breaker.
   absolve(sq.target);
   if (sq.forwarded_to.has_value()) absolve(*sq.forwarded_to);
@@ -1583,22 +1570,6 @@ void StashCluster::deliver_response(std::uint64_t query_id, std::size_t idx,
     pending.retry_tokens =
         std::min(config_.retry_budget,
                  pending.retry_tokens + kRetryRefillPerSuccess);
-  PartitionCoverage& cov = pending.stats.coverage[idx];
-  cov.kind = PartitionCoverage::Kind::kExact;
-  cov.served_res = pending.query.res;
-  cov.attempts = sq.attempts;
-
-  pending.stats.breakdown += eval.breakdown;
-  if (config_.discard_payload) {
-    // Cells are disjoint across partitions: counting is exact.
-    pending.stats.result_cells += eval.cells.size();
-  } else {
-    for (auto& [key, summary] : eval.cells) {
-      auto [cell_it, inserted] =
-          pending.cells.try_emplace(key, std::move(summary));
-      if (!inserted) cell_it->second.merge(summary);
-    }
-  }
   complete_subquery(query_id);
 }
 
@@ -1610,22 +1581,15 @@ void StashCluster::complete_subquery(std::uint64_t query_id) {
   // Gather complete: charge the front-end merge + render overhead.  Under
   // a deadline the charge is clamped to the remaining budget — the result
   // is handed back at the deadline at the latest, never after it.
-  const std::size_t merged_cells = config_.discard_payload
-                                       ? pending.stats.result_cells
-                                       : pending.cells.size();
   sim::SimTime finish =
-      kFrontendOverhead + config_.cost.merge(merged_cells);
+      kFrontendOverhead + config_.cost.merge(pending.stats.result_cells);
   if (pending.deadline != 0)
     finish = std::min(
         finish, std::max<sim::SimTime>(0, pending.deadline - loop_.now()));
   // Scatter is over the instant the last subquery drains; the merge span
   // covers the front-end merge + render and ends with the root, so
   // scatter.duration + merge.duration == QueryStats::latency().
-  tracer_.end_span(query_id, pending.scatter_span, loop_.now());
-  pending.merge_span =
-      tracer_.start_span(query_id, pending.root_span, "merge", loop_.now());
-  tracer_.tag(query_id, pending.merge_span, "cells",
-              std::to_string(merged_cells));
+  open_merge(query_id, pending);
   loop_.schedule(finish, [this, query_id] { finalize_query(query_id); });
 }
 
@@ -1636,8 +1600,6 @@ void StashCluster::finalize_query(std::uint64_t query_id) {
   pending_.erase(done_it);
   if (finished.deadline_timer != 0) loop_.cancel(finished.deadline_timer);
   finished.stats.completed_at = loop_.now();
-  if (!config_.discard_payload)
-    finished.stats.result_cells = finished.cells.size();
   if (finished.stats.corrupt_blocks > 0) {
     // Corrupt days were withheld, never served wrong: the answer has holes
     // and must say so.
@@ -1838,10 +1800,14 @@ void StashCluster::check_quiescence() const {
 QueryStats StashCluster::run_query(const AggregationQuery& query,
                                    CellSummaryMap* cells_out) {
   QueryStats out;
-  submit(query, [&out, cells_out](const QueryStats& stats, CellSummaryMap&& cells) {
-    out = stats;
-    if (cells_out != nullptr) *cells_out = std::move(cells);
-  });
+  if (cells_out != nullptr)
+    submit(query, [&out, cells_out](const QueryStats& stats,
+                                    CellSummaryMap&& cells) {
+      out = stats;
+      *cells_out = std::move(cells);
+    });
+  else
+    submit(query, [&out](const QueryStats& stats) { out = stats; });
   loop_.run();
   check_quiescence();
   return out;
@@ -1966,16 +1932,8 @@ std::size_t StashCluster::preload(const AggregationQuery& query) {
     if (!fault_.alive(owner)) continue;  // a dead node cannot warm its cache
     Node& node = *nodes_[owner];
     const Evaluation eval =
-        node.exec_engine
-            ? node.exec_engine->evaluate_partition(partition, query,
-                                                   EvalMode::Cached)
-            : node.engine.evaluate_partition(partition, query,
-                                             EvalMode::Cached);
-    const MaintenanceStats stats =
-        node.exec_engine
-            ? node.exec_engine->absorb(eval, query.res, loop_.now())
-            : node.engine.absorb(eval, query.res, loop_.now());
-    inserted += stats.cells_absorbed;
+        node.evaluate(partition, query, EvalMode::Cached);
+    inserted += node.absorb(eval, query.res, loop_.now()).cells_absorbed;
   }
   return inserted;
 }

@@ -90,9 +90,6 @@ struct ClusterConfig {
   /// Attempts to find a helper around the antipode before giving up.
   int antipode_retries = 8;
   HelperPolicy helper_policy = HelperPolicy::Antipode;
-  /// Throughput-bench mode: count result Cells but do not retain their
-  /// summaries at the front-end (bounds memory for 10k-query bursts).
-  bool discard_payload = false;
 
   // --- fault model & degraded operation ---
   /// Scripted faults (node crashes/restarts, message loss, slow links).
@@ -456,9 +453,10 @@ class StashCluster {
     return tracer_.find(query_id);
   }
 
+  /// Stats-only completion: result Cells are counted, never kept.
   using Callback = std::function<void(const QueryStats&)>;
   /// Completion callback that also receives the merged Cell payload (what
-  /// the front-end renders).
+  /// the front-end renders) — the only kind for which Cells are kept.
   using RichCallback = std::function<void(const QueryStats&, CellSummaryMap&&)>;
 
   /// Submits a query at the current virtual time; `done` fires on
@@ -467,7 +465,8 @@ class StashCluster {
   void submit(const AggregationQuery& query, RichCallback done);
 
   /// Submits one query and runs the loop to quiescence.  When `cells_out`
-  /// is given it receives the merged Cell summaries.  All run_* helpers
+  /// is given it receives the merged Cell summaries; without it the query
+  /// is stats-only.  All run_* helpers
   /// throw std::runtime_error if any query survives quiescence — a leaked
   /// Pending entry is a scatter/gather bug, never a silent return.
   QueryStats run_query(const AggregationQuery& query,
@@ -603,6 +602,18 @@ class StashCluster {
     Node(NodeId node_id, const StashConfig& stash_config,
          const GalileoStore& store, sim::EventLoop& loop,
          const sim::SimServer::Config& server_config, std::uint64_t seed);
+
+    /// Evaluates on the exec engine if there is one, else inline.  Given
+    /// `partial`, exec runs under a `deadline_ms` host budget (0 = none)
+    /// and flags an incomplete batch there instead of rethrowing.
+    [[nodiscard]] Evaluation evaluate(std::string_view partition,
+                                      const AggregationQuery& query,
+                                      EvalMode mode,
+                                      std::uint64_t deadline_ms = 0,
+                                      bool* partial = nullptr) const;
+    /// The maintenance absorb, on the same engine evaluate() picks.
+    MaintenanceStats absorb(const Evaluation& eval, const Resolution& res,
+                            sim::SimTime now);
   };
 
   /// One scattered subquery's lifecycle across attempts.  Responses and
@@ -625,7 +636,7 @@ class StashCluster {
     RichCallback done_rich;
     std::size_t remaining = 0;
     QueryStats stats;
-    CellSummaryMap cells;
+    CellSummaryMap cells;  // kept only for a RichCallback
     std::vector<Subquery> subqueries;
     /// Absolute deadline (0 = none); mirrored in stats.deadline.
     sim::SimTime deadline = 0;
@@ -687,6 +698,16 @@ class StashCluster {
   void handle_server_pushback(NodeId node_id, std::uint64_t query_id,
                               std::size_t idx, int attempt,
                               sim::Outcome outcome, bool guest);
+  /// The one end of a subquery, whatever its outcome: marks it done,
+  /// cancels its attempt timer, closes the attempt span (tagged `outcome`)
+  /// and the subquery span, writes its PartitionCoverage entry and counts
+  /// `answer`'s Cells — folding them in only for a RichCallback (Cells are
+  /// disjoint across partitions, so the count is exact).  A null `answer`
+  /// leaves the partition kMissing, `outcome` tagged on the subquery span.
+  void settle_subquery(std::uint64_t query_id, Pending& pending,
+                       std::size_t idx, const char* outcome,
+                       Evaluation* answer = nullptr,
+                       const Resolution& served_res = {});
   /// Front-end receipt of a degraded (coarser-resolution) answer.
   void deliver_degraded(std::uint64_t query_id, std::size_t idx, int attempt,
                         const std::shared_ptr<DegradedEvaluation>& deg,
@@ -711,6 +732,9 @@ class StashCluster {
   /// Gather step shared by success and failure: decrements `remaining` and
   /// schedules the front-end merge when the scatter has fully drained.
   void complete_subquery(std::uint64_t query_id);
+  /// Ends the scatter span and opens the "merge" span over the Cells
+  /// gathered so far (the drained gather and the deadline cut share it).
+  void open_merge(std::uint64_t query_id, Pending& pending);
   void maybe_start_handoff(NodeId node_id);
   void send_distress(NodeId hot_id, Clique clique, int attempt);
   /// Sends one message over the (faulty) network: rolls the drop dice,

@@ -2,6 +2,20 @@
 
 namespace stash {
 
+std::vector<ChunkKey> chunk_covering(const BoundingBox& area,
+                                     const TimeRange& time,
+                                     const Resolution& res,
+                                     int chunk_precision) {
+  const auto prefixes = geohash::covering(
+      area, chunk_spatial_precision(res.spatial, chunk_precision));
+  const auto bins = temporal_covering(time, res.temporal);
+  std::vector<ChunkKey> out;
+  out.reserve(prefixes.size() * bins.size());
+  for (const auto& prefix : prefixes)
+    for (const auto& bin : bins) out.emplace_back(prefix, bin);
+  return out;
+}
+
 std::vector<ChunkKey> chunk_neighbors(const ChunkKey& key) {
   std::vector<ChunkKey> out;
   out.reserve(10);

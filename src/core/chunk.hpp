@@ -68,6 +68,15 @@ struct ChunkKeyHash {
   return cell_precision < chunk_precision ? cell_precision : chunk_precision;
 }
 
+/// The chunks covering `area` x `time` at `res`, prefix-major and
+/// bin-minor: every chunk-precision geohash of the area crossed with every
+/// temporal bin of the range.  The one enumeration behind partition
+/// planning, the degraded fallback's per-level probe and routing lookups.
+[[nodiscard]] std::vector<ChunkKey> chunk_covering(const BoundingBox& area,
+                                                   const TimeRange& time,
+                                                   const Resolution& res,
+                                                   int chunk_precision);
+
 /// The chunk a Cell belongs to.
 [[nodiscard]] inline ChunkKey chunk_of(const CellKey& cell, int chunk_precision) {
   const std::string gh = cell.geohash_str();

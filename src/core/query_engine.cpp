@@ -101,14 +101,8 @@ QueryEngine::PartitionPlan QueryEngine::plan_partition(
   if (!plan.clipped.valid() || !plan.clipped.intersects(query.area))
     return plan;
   plan.empty = false;
-
-  const int chunk_prec = chunk_spatial_precision(
-      query.res.spatial, graph_.config().chunk_precision);
-  const auto prefixes = geohash::covering(plan.clipped, chunk_prec);
-  const auto bins = temporal_covering(query.time, query.res.temporal);
-  plan.chunks.reserve(prefixes.size() * bins.size());
-  for (const auto& prefix : prefixes)
-    for (const auto& bin : bins) plan.chunks.emplace_back(prefix, bin);
+  plan.chunks = chunk_covering(plan.clipped, query.time, query.res,
+                               graph_.config().chunk_precision);
   return plan;
 }
 
@@ -218,16 +212,19 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
   return result;
 }
 
-Evaluation QueryEngine::evaluate_partition(std::string_view partition,
-                                           const AggregationQuery& query,
-                                           EvalMode mode) const {
+void QueryEngine::validate(const AggregationQuery& query) const {
   if (!query.valid())
     throw std::invalid_argument("QueryEngine: invalid query");
   if (query.res.spatial < store_.partition_prefix_length())
     throw std::invalid_argument(
         "QueryEngine: spatial resolution must be >= the DHT partition prefix "
         "length (coarser Cells would span storage partitions)");
+}
 
+Evaluation QueryEngine::evaluate_partition(std::string_view partition,
+                                           const AggregationQuery& query,
+                                           EvalMode mode) const {
+  validate(query);
   Evaluation eval;
   const PartitionPlan plan = plan_partition(partition, query);
   if (plan.empty) return eval;
@@ -253,14 +250,8 @@ Evaluation QueryEngine::evaluate_partition(std::string_view partition,
 
 DegradedEvaluation QueryEngine::evaluate_degraded(
     std::string_view partition, const AggregationQuery& query) const {
-  if (!query.valid())
-    throw std::invalid_argument("QueryEngine: invalid query");
+  validate(query);
   const int min_spatial = store_.partition_prefix_length();
-  if (query.res.spatial < min_spatial)
-    throw std::invalid_argument(
-        "QueryEngine: spatial resolution must be >= the DHT partition prefix "
-        "length (coarser Cells would span storage partitions)");
-
   DegradedEvaluation out;
   out.served_res = query.res;
   const BoundingBox clipped =
@@ -279,16 +270,8 @@ DegradedEvaluation QueryEngine::evaluate_degraded(
   seen[static_cast<std::size_t>(level_index(query.res))] = true;
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     const auto [res, steps] = frontier[i];
-
-    const int chunk_prec =
-        chunk_spatial_precision(res.spatial, graph_.config().chunk_precision);
-    const auto prefixes = geohash::covering(clipped, chunk_prec);
-    const auto bins = temporal_covering(query.time, res.temporal);
-    std::vector<ChunkKey> chunks;
-    chunks.reserve(prefixes.size() * bins.size());
-    for (const auto& prefix : prefixes)
-      for (const auto& bin : bins) chunks.emplace_back(prefix, bin);
-
+    const std::vector<ChunkKey> chunks = chunk_covering(
+        clipped, query.time, res, graph_.config().chunk_precision);
     out.eval.breakdown.cache_probes += chunks.size();
     if (graph_.region_complete(res, chunks)) {
       for (const ChunkKey& chunk : chunks) {

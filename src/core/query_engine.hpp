@@ -109,6 +109,11 @@ class QueryEngine {
  public:
   QueryEngine(StashGraph& graph, const GalileoStore& store);
 
+  /// The query contract every evaluation checks first: a valid query at a
+  /// spatial resolution no coarser than the DHT partition prefix.  Throws
+  /// std::invalid_argument.
+  void validate(const AggregationQuery& query) const;
+
   /// Evaluates the part of `query` that falls inside one DHT partition —
   /// what a storage node executes for its subquery.
   [[nodiscard]] Evaluation evaluate_partition(std::string_view partition,

@@ -3,7 +3,6 @@
 #include <exception>
 #include <iterator>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "concurrency/cancellation.hpp"
@@ -100,17 +99,6 @@ ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
           config.watchdog_interval_ns, &host_now_ns}) {}
 
 ParallelQueryEngine::~ParallelQueryEngine() = default;
-
-void ParallelQueryEngine::validate(const AggregationQuery& query) const {
-  // Same contract (and messages) as the sequential engine, checked before
-  // any task is queued so workers never see an invalid query.
-  if (!query.valid())
-    throw std::invalid_argument("QueryEngine: invalid query");
-  if (query.res.spatial < engine_.store().partition_prefix_length())
-    throw std::invalid_argument(
-        "QueryEngine: spatial resolution must be >= the DHT partition prefix "
-        "length (coarser Cells would span storage partitions)");
-}
 
 void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
                                     std::size_t index,
@@ -304,7 +292,7 @@ Evaluation ParallelQueryEngine::evaluate_partition(
 Evaluation ParallelQueryEngine::evaluate_partition(
     std::string_view partition, const AggregationQuery& query, EvalMode mode,
     const ExecOptions& options, BatchReport& report) const {
-  validate(query);
+  engine_.validate(query);  // before any task is queued
   std::vector<BatchState::Part> parts;
   BatchState::Part part{std::string(partition),
                         engine_.plan_partition(partition, query), 0};
@@ -328,7 +316,7 @@ Evaluation ParallelQueryEngine::evaluate(const AggregationQuery& query,
                                          EvalMode mode,
                                          const ExecOptions& options,
                                          BatchReport& report) const {
-  validate(query);
+  engine_.validate(query);
 
   // Plan every partition first so the whole query fans out as one batch —
   // the covering order here is the canonical merge order.

@@ -170,7 +170,6 @@ class ParallelQueryEngine {
  private:
   struct BatchState;
 
-  void validate(const AggregationQuery& query) const;
   /// Fan out the batch and wait — until the last chunk lands, or until
   /// the deadline fires (then the token is cancelled and the wait ends).
   void run_batch(const std::shared_ptr<BatchState>& state,

@@ -154,18 +154,30 @@ TEST(FailureInjectionTest, IngestDuringHotspotKeepsResultsFresh) {
   }
 }
 
-TEST(FailureInjectionTest, DiscardPayloadKeepsCountsExact) {
+TEST(FailureInjectionTest, StatsOnlyCallersCountCellsExactly) {
+  // The same burst on two clusters: stats-only callbacks (Cells counted,
+  // never kept) and RichCallbacks (Cells merged).  Counts and latencies
+  // must not tell the two apart.
   const auto queries = burst_around(county_query(), 20, 23);
   ClusterConfig config;
   config.num_nodes = 16;
-  StashCluster normal(config, shared_generator());
-  config.discard_payload = true;
-  StashCluster discarding(config, shared_generator());
-  const auto a = normal.run_burst(queries);
-  const auto b = discarding.run_burst(queries);
+  StashCluster stats_only(config, shared_generator());
+  StashCluster rich(config, shared_generator());
+  const auto counted = stats_only.run_burst(queries);
+  std::vector<QueryStats> merged(queries.size());
+  std::vector<CellSummaryMap> cells(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    rich.submit(queries[i],
+                [&merged, &cells, i](const QueryStats& s, CellSummaryMap&& c) {
+                  merged[i] = s;
+                  cells[i] = std::move(c);
+                });
+  rich.loop().run();
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(a[i].result_cells, b[i].result_cells) << i;
-    EXPECT_EQ(a[i].latency(), b[i].latency()) << i;
+    EXPECT_GT(counted[i].result_cells, 0u) << i;
+    EXPECT_EQ(counted[i].result_cells, merged[i].result_cells) << i;
+    EXPECT_EQ(merged[i].result_cells, cells[i].size()) << i;
+    EXPECT_EQ(counted[i].latency(), merged[i].latency()) << i;
   }
 }
 

@@ -71,7 +71,6 @@ TEST(ClusterScaleTest, MoreNodesMoreBurstThroughput) {
   const auto makespan = [&](std::uint32_t nodes) {
     ClusterConfig config;
     config.num_nodes = nodes;
-    config.discard_payload = true;
     StashCluster cluster(config, shared_generator());
     sim::SimTime last = 0;
     for (const auto& s : cluster.run_burst(burst))
