@@ -317,6 +317,102 @@ TEST(FaultToleranceTest, FailoverServesDeadOwnersPartitionsFromStorage) {
   expect_cells_equal(again, reference_cells(query));
 }
 
+TEST(FailureInjectionTest, LateResponseFromTimedOutAttemptIsIgnored) {
+  // The owner serves attempt 1, but its answer crawls back slower than the
+  // subquery timeout.  The timeout suspects the owner and attempt 2 fails
+  // over to the successor.  The owner's late answer must not count, both
+  // when it lands after attempt 2 settled the subquery and when it lands
+  // while attempt 2 is still in flight: one callback, the healthy answer,
+  // two attempts, and the same stats as when the late answer is lost —
+  // only the owner's extra server-side work shows.
+  const AggregationQuery query = county_query();
+  const auto partitions = geohash::covering(query.area, 2);
+  ASSERT_EQ(partitions.size(), 1u);
+  ClusterConfig config = fault_config();  // 50 ms subquery timeout
+  config.failover_to_successor = true;
+  const ZeroHopDht dht(config.num_nodes, config.partition_prefix_length);
+  const NodeId owner = dht.node_for_partition(partitions.front());
+  const NodeId successor = dht.successor_for_partition(partitions.front(), 1);
+  ASSERT_NE(owner, successor);
+
+  StashCluster healthy(config, shared_generator());
+  CellSummaryMap want;
+  const QueryStats control = healthy.run_query(query, &want);
+  ASSERT_FALSE(control.partial);
+  ASSERT_GT(control.result_cells, 0u);
+  const std::uint64_t control_processed =
+      healthy.metrics().subqueries_processed;
+
+  struct Run {
+    int callbacks = 0;
+    QueryStats stats;
+    CellSummaryMap cells;
+    std::uint64_t processed = 0;
+    std::uint64_t timeouts = 0;
+  };
+  const auto run = [&](std::vector<sim::LinkRule> links) {
+    ClusterConfig faulty = config;
+    faulty.fault_plan.links = std::move(links);
+    StashCluster cluster(faulty, shared_generator());
+    Run r;
+    cluster.submit(query, [&r](const QueryStats& s, CellSummaryMap&& cells) {
+      ++r.callbacks;
+      r.stats = s;
+      r.cells = std::move(cells);
+    });
+    cluster.loop().run();
+    r.processed = cluster.metrics().subqueries_processed;
+    r.timeouts = cluster.metrics().timeouts_fired;
+    return r;
+  };
+  const auto slow = [](NodeId from, sim::SimTime latency) {
+    return sim::LinkRule{.from = from,
+                         .to = sim::kFrontendNode,
+                         .extra_latency = latency};
+  };
+  const auto lost = [](NodeId from) {
+    return sim::LinkRule{
+        .from = from, .to = sim::kFrontendNode, .drop_probability = 1.0};
+  };
+
+  // Attempt 1 times out at 50 ms and attempt 2 goes out ~5 ms later.
+  // Case 0: the successor answers at ~60 ms, the owner's answer lands at
+  // ~85 ms.  Case 1: the successor's answer takes ~95 ms, so the owner's,
+  // at ~75 ms, lands in the middle of attempt 2.
+  const std::vector<std::vector<sim::LinkRule>> late_cases = {
+      {slow(owner, 80 * sim::kMillisecond)},
+      {slow(owner, 70 * sim::kMillisecond),
+       slow(successor, 35 * sim::kMillisecond)}};
+  const std::vector<std::vector<sim::LinkRule>> lost_cases = {
+      {lost(owner)},
+      {lost(owner), slow(successor, 35 * sim::kMillisecond)}};
+  for (std::size_t c = 0; c < late_cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Run late = run(late_cases[c]);
+    EXPECT_EQ(late.callbacks, 1);
+    EXPECT_EQ(late.stats.result_cells, control.result_cells);
+    expect_cells_equal(late.cells, want);
+    EXPECT_EQ(late.stats.retries, 1u);
+    EXPECT_EQ(late.stats.failovers, 1u);
+    EXPECT_FALSE(late.stats.partial);
+    ASSERT_EQ(late.stats.coverage.size(), 1u);
+    EXPECT_EQ(late.stats.coverage[0].attempts, 2);
+    EXPECT_EQ(late.stats.coverage[0].kind, PartitionCoverage::Kind::kExact);
+    EXPECT_EQ(late.timeouts, 1u);
+    // The owner served attempt 1 and the successor attempt 2.
+    EXPECT_EQ(late.processed, control_processed + 1);
+
+    // The same run with the owner's answer lost: it must look the same.
+    const Run gone = run(lost_cases[c]);
+    EXPECT_EQ(gone.callbacks, 1);
+    EXPECT_EQ(late.stats.latency(), gone.stats.latency());
+    EXPECT_EQ(late.stats.result_cells, gone.stats.result_cells);
+    EXPECT_EQ(late.stats.retries, gone.stats.retries);
+    EXPECT_EQ(late.stats.failovers, gone.stats.failovers);
+    EXPECT_EQ(late.processed, gone.processed);
+  }
+}
+
 TEST(FaultToleranceTest, CrashThenRestartConvergesToFullResults) {
   // Failover off: retries keep knocking on the owner until it restarts
   // cold, then the partition is re-scanned from storage — full results.
