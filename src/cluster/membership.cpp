@@ -69,7 +69,7 @@ const MemberInfo& GossipMembership::info(std::uint32_t observer,
 }
 
 void GossipMembership::start() {
-  if (!config_.enabled || started_) return;
+  if (started_) return;
   started_ = true;
   for (std::size_t obs = 0; obs <= num_nodes_; ++obs) {
     const auto offset = static_cast<sim::SimTime>(
@@ -333,7 +333,6 @@ std::vector<MembershipUpdate> GossipMembership::take_updates(std::size_t obs) {
 }
 
 void GossipMembership::announce(std::uint32_t node) {
-  if (!config_.enabled) return;
   if (node >= num_nodes_)
     throw std::invalid_argument("GossipMembership::announce: unknown member");
   if (!registered_[node]) return;  // a left slot only returns via join()
@@ -373,9 +372,7 @@ void GossipMembership::join(std::uint32_t node) {
   // frontend (which admits joiners into the ring) hears it directly so a
   // ring decision never waits on gossip fan-out alone.
   announce(node);
-  if (config_.enabled)
-    apply_at(num_nodes_,
-             {node, MemberState::kAlive, incarnations_[node]});
+  apply_at(num_nodes_, {node, MemberState::kAlive, incarnations_[node]});
 }
 
 void GossipMembership::leave(std::uint32_t node) {
@@ -393,7 +390,7 @@ void GossipMembership::leave(std::uint32_t node) {
   enqueue_update(node, update);
   // ...and the frontend, which drives decommissions, seconds the rumor —
   // a leaver that crashes mid-farewell still converges to left, not dead.
-  if (config_.enabled) apply_at(num_nodes_, update);
+  apply_at(num_nodes_, update);
 }
 
 void GossipMembership::reset_view(std::uint32_t node) {

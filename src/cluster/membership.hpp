@@ -68,7 +68,6 @@ struct MembershipUpdate {
 };
 
 struct MembershipConfig {
-  bool enabled = true;
   /// One probe per observer per interval (initial offsets are jittered so
   /// the fleet does not probe in lockstep).
   sim::SimTime probe_interval = 500 * sim::kMillisecond;
@@ -140,7 +139,7 @@ class GossipMembership {
   }
 
   /// Schedules the first (jittered) probe tick for every observer.  Call
-  /// once; a no-op when the protocol is disabled.
+  /// once.
   void start();
 
   /// Rejoin: bump the node's incarnation, reassert it alive, and push the
@@ -170,7 +169,7 @@ class GossipMembership {
   void reset_view(std::uint32_t node);
 
   /// Observer `observer`'s belief about `node` (ids; observer may be
-  /// sim::kFrontendNode).  Disabled protocol: everything is alive.
+  /// sim::kFrontendNode).
   [[nodiscard]] const MemberInfo& info(std::uint32_t observer,
                                        std::uint32_t node) const;
   [[nodiscard]] MemberState state(std::uint32_t observer,
@@ -179,7 +178,7 @@ class GossipMembership {
   }
   /// Should `observer` send work to `node` right now?
   [[nodiscard]] bool usable(std::uint32_t observer, std::uint32_t node) const {
-    return !config_.enabled || state(observer, node) == MemberState::kAlive;
+    return state(observer, node) == MemberState::kAlive;
   }
 
   /// Applies one update to one observer's view (public for tests; the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -302,20 +303,23 @@ Evaluation QueryEngine::evaluate(const AggregationQuery& query,
   Evaluation total;
   for (const auto& partition :
        geohash::covering(query.area, store_.partition_prefix_length())) {
-    Evaluation part = evaluate_partition(partition, query, mode);
-    total.breakdown += part.breakdown;
-    for (auto& [key, summary] : part.cells) {
-      auto [it, inserted] = total.cells.try_emplace(key, std::move(summary));
-      if (!inserted) it->second.merge(summary);
-    }
-    std::move(part.fetched.begin(), part.fetched.end(),
-              std::back_inserter(total.fetched));
-    std::move(part.touched_chunks.begin(), part.touched_chunks.end(),
-              std::back_inserter(total.touched_chunks));
-    std::move(part.corrupt_blocks.begin(), part.corrupt_blocks.end(),
-              std::back_inserter(total.corrupt_blocks));
+    total.merge(evaluate_partition(partition, query, mode));
   }
   return total;
+}
+
+void Evaluation::merge(Evaluation&& part) {
+  breakdown += part.breakdown;
+  for (auto& [key, summary] : part.cells) {
+    auto [it, inserted] = cells.try_emplace(key, std::move(summary));
+    if (!inserted) it->second.merge(summary);
+  }
+  std::move(part.fetched.begin(), part.fetched.end(),
+            std::back_inserter(fetched));
+  std::move(part.touched_chunks.begin(), part.touched_chunks.end(),
+            std::back_inserter(touched_chunks));
+  std::move(part.corrupt_blocks.begin(), part.corrupt_blocks.end(),
+            std::back_inserter(corrupt_blocks));
 }
 
 MaintenanceStats QueryEngine::absorb(const Evaluation& eval,

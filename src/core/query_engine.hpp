@@ -56,6 +56,10 @@ struct Evaluation {
   /// never marks them complete); the caller must flag the answer partial
   /// and schedule repair.
   std::vector<BlockKey> corrupt_blocks;
+
+  /// Folds another partition's evaluation into this cross-partition
+  /// total: breakdowns add, Cells merge, the rest is appended.
+  void merge(Evaluation&& part);
 };
 
 /// A coarse answer assembled from a cached ancestor level when the exact

@@ -1,7 +1,6 @@
 #include "exec/parallel_engine.hpp"
 
 #include <exception>
-#include <iterator>
 #include <set>
 #include <utility>
 
@@ -20,6 +19,12 @@ constexpr std::uint32_t kChunkPending = 0;
 constexpr std::uint32_t kChunkDone = 1;
 constexpr std::uint32_t kChunkCancelled = 2;
 constexpr std::uint32_t kChunkFailed = 3;
+
+// The engine's pool drains on shutdown: abandoned tasks are cancelled
+// first (kShutdown), so even a drain is quick once the engine is going
+// away.  The stuck-worker watchdog samples every 5 ms of host time.
+constexpr bool kDrainOnShutdown = true;
+constexpr std::uint64_t kWatchdogIntervalNs = 5'000'000;
 
 /// CancelProbe adapter over the batch token (between-cells checks).
 class TokenProbe final : public CancelProbe {
@@ -95,8 +100,8 @@ ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
       cancelled_chunks_(0, "exec.cancelled_chunks"),
       task_exceptions_(0, "exec.task_exceptions"),
       pool_(concurrency::WorkerPool::Config{
-          config.threads, config.queue_capacity, config.drain_on_shutdown,
-          config.watchdog_interval_ns, &host_now_ns}) {}
+          config.threads, config.queue_capacity, kDrainOnShutdown,
+          kWatchdogIntervalNs, &host_now_ns}) {}
 
 ParallelQueryEngine::~ParallelQueryEngine() = default;
 
@@ -241,8 +246,8 @@ Evaluation ParallelQueryEngine::collect(BatchState& state,
       report.incomplete_partitions.push_back(part.partition);
       continue;
     }
-    // Mirror QueryEngine::evaluate: per-partition assembly in canonical
-    // chunk order, then the same partition-order merge into the total.
+    // Per-partition assembly in canonical chunk order, then the same
+    // partition-order merge into the total as QueryEngine::evaluate.
     Evaluation eval;
     std::set<std::int64_t> days_scanned;
     for (std::size_t j = 0; j < count; ++j) {
@@ -262,18 +267,7 @@ Evaluation ParallelQueryEngine::collect(BatchState& state,
                           out.result.days_scanned.end());
     }
     eval.breakdown.scan.blocks_touched = days_scanned.size();
-
-    total.breakdown += eval.breakdown;
-    for (auto& [key, summary] : eval.cells) {
-      auto [it, inserted] = total.cells.try_emplace(key, std::move(summary));
-      if (!inserted) it->second.merge(summary);
-    }
-    std::move(eval.fetched.begin(), eval.fetched.end(),
-              std::back_inserter(total.fetched));
-    std::move(eval.touched_chunks.begin(), eval.touched_chunks.end(),
-              std::back_inserter(total.touched_chunks));
-    std::move(eval.corrupt_blocks.begin(), eval.corrupt_blocks.end(),
-              std::back_inserter(total.corrupt_blocks));
+    total.merge(std::move(eval));
   }
   return total;
 }

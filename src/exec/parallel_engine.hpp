@@ -51,12 +51,6 @@ struct ExecConfig {
   std::size_t threads = 0;
   /// Per-worker MpmcRing capacity (power of two >= 2).
   std::size_t queue_capacity = 256;
-  /// Shutdown mode for the pool (see WorkerPool::Config).  Draining is
-  /// the default; abandoned tasks are cancelled first (kShutdown) so even
-  /// a drain is quick once the engine is going away.
-  bool drain_on_shutdown = true;
-  /// Stuck-worker watchdog sampling interval (host ns); 0 disables.
-  std::uint64_t watchdog_interval_ns = 5'000'000;
   /// Seeded thread-level fault injection (inert by default).
   FaultHooks faults;
 };

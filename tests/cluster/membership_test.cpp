@@ -169,9 +169,7 @@ TEST(MembershipTest, PartitionSplitsViewsThenConvergesAfterHeal) {
 }
 
 TEST(MembershipTest, IncarnationPrecedenceRules) {
-  MembershipConfig config = test_config();
-  config.enabled = true;
-  Harness h(config, 4);
+  Harness h(test_config(), 4);
 
   // suspect@0 beats alive@0; alive@0 cannot take it back; alive@1 can.
   EXPECT_TRUE(h.membership->apply(0, {2, MemberState::kSuspect, 0}));
@@ -217,17 +215,6 @@ TEST(MembershipTest, SameSeedSameScriptIsBitIdentical) {
   b.loop.run_for(5 * kSecond);
   EXPECT_EQ(a.fingerprint(4), b.fingerprint(4));
   EXPECT_EQ(a.loop.executed(), b.loop.executed());
-}
-
-TEST(MembershipTest, DisabledProtocolIsInertAndAlwaysUsable) {
-  MembershipConfig config = test_config();
-  config.enabled = false;
-  Harness h(config, 4);
-  h.fault.force_crash(2);
-  h.loop.run_for(1 * kSecond);
-  EXPECT_EQ(h.membership->stats().probes_sent, 0u);
-  EXPECT_TRUE(h.membership->usable(0, 2));
-  EXPECT_TRUE(h.membership->usable(kFrontendNode, 2));
 }
 
 TEST(MembershipTest, StandbySlotsStartLeftAndJoinAdmitsThem) {
