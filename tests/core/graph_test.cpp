@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 namespace stash {
 namespace {
 
@@ -120,6 +126,140 @@ TEST(StashGraphTest, CollectChunkFiltersByBoxAndTime) {
                                 TemporalBin(TemporalRes::Day, 2015, 3, 2).range(),
                                 none),
             0u);
+}
+
+TEST(StashGraphTest, CollectChunkMatchesPerCellFilter) {
+  // The chunk-level shortcuts (one time test per chunk, no per-Cell test
+  // when the chunk lies inside the box) must agree with testing every Cell
+  // through the string codec.  `intersects` is open, so boxes and ranges
+  // that only touch an edge select nothing on that side.
+  StashGraph graph;
+  const auto c = make_contribution("9q8y", 1024);  // every 6-char cell
+  graph.absorb(c, 0);
+  const BoundingBox chunk = geohash::decode("9q8y");
+  const BoundingBox child = geohash::decode("9q8y7");
+  const double h = chunk.height();
+  const double w = chunk.width();
+  const std::vector<BoundingBox> boxes = {
+      chunk,                                                          // equal
+      {chunk.lat_min - h, chunk.lat_max + h, chunk.lng_min - w, chunk.lng_max + w},
+      {chunk.lat_min + h / 3, chunk.lat_max + h, chunk.lng_min - w,   // straddles
+       chunk.lng_max - w / 5},
+      {chunk.lat_min + h / 4, chunk.lat_max - h / 4, chunk.lng_min + w / 4,
+       chunk.lng_max - w / 4},                                        // inside
+      child,                                                          // cell-aligned
+      {chunk.lat_max, chunk.lat_max + h, chunk.lng_min, chunk.lng_max},  // north edge
+      {chunk.lat_min - h, chunk.lat_min, chunk.lng_min, chunk.lng_max},  // south edge
+      {chunk.lat_min, chunk.lat_max, chunk.lng_max, chunk.lng_max + w},  // east edge
+      {chunk.lat_max, chunk.lat_max + h, chunk.lng_max, chunk.lng_max + w},  // corner
+      {child.lat_min, child.lat_min, chunk.lng_min, chunk.lng_max},   // zero height
+      {chunk.lat_min + h / 2, chunk.lat_min + h / 2 + 1e-9, chunk.lng_min,
+       chunk.lng_max},                                                 // sliver
+  };
+  const TimeRange bin = kDay.range();
+  const std::vector<TimeRange> times = {
+      bin,
+      {bin.begin - 86400, bin.end + 86400},  // contains the bin
+      {bin.begin + 3600, bin.begin + 7200},  // inside
+      {bin.end - 1, bin.end + 1},            // straddles the end
+      {bin.end, bin.end + 3600},             // touches the end only
+      {bin.begin - 3600, bin.begin},         // touches the start only
+      {bin.begin + 60, bin.begin + 60},      // empty
+      TemporalBin(TemporalRes::Day, 2015, 3, 2).range(),  // disjoint
+  };
+  for (const BoundingBox& box : boxes) {
+    for (const TimeRange& time : times) {
+      CellSummaryMap expected;
+      for (const auto& [key, summary] : c.cells)
+        if (geohash::decode(key.geohash_str()).intersects(box) &&
+            key.bin().range().intersects(time))
+          expected.emplace(key, summary);
+      CellSummaryMap actual;
+      EXPECT_EQ(graph.collect_chunk(kRes6, c.chunk, box, time, actual),
+                expected.size())
+          << box.to_string() << " [" << time.begin << "," << time.end << ")";
+      EXPECT_EQ(actual, expected) << box.to_string();
+    }
+  }
+}
+
+TEST(StashGraphTest, DispersionTouchesEachNeighbourOncePerAccessedNeighbour) {
+  // A 3x3 accessed block inside its resident 5x5 ring, plus the block's
+  // previous and next bins.  A resident non-accessed chunk next to k
+  // accessed chunks must end bit-equal to k sequential touch(dispersed)
+  // calls; an accessed chunk gets exactly one touch(f_inc).
+  StashConfig config;
+  config.dispersion_fraction = 0.25;
+  StashGraph graph(config);
+  const double f_inc = config.freshness_increment;
+  const double dispersed = f_inc * config.dispersion_fraction;
+  const sim::SimTime absorbed_at = 3 * kSecond;
+  const sim::SimTime now = 40 * kSecond;
+
+  // Block and ring through the string codec, independent of chunk_neighbors.
+  const std::string center = "9q8y";
+  std::vector<std::string> block{center};
+  for (const auto& n : geohash::neighbors(center)) block.push_back(n);
+  std::set<std::string> ring;
+  for (const auto& b : block)
+    for (const auto& n : geohash::neighbors(b))
+      if (std::find(block.begin(), block.end(), n) == block.end()) ring.insert(n);
+  ASSERT_EQ(block.size(), 9u);
+  ASSERT_EQ(ring.size(), 16u);
+
+  std::vector<ChunkKey> resident;
+  for (const auto& gh : block)
+    for (const TemporalBin& bin : {kDay, kDay.prev(), kDay.next()})
+      resident.push_back(ChunkKey(gh, bin));
+  for (const auto& gh : ring) resident.push_back(ChunkKey(gh, kDay));
+  // Two ring steps out, and the ring's own previous bin: not neighbours.
+  std::string far = center;
+  for (int step = 0; step < 3; ++step)
+    far = *geohash::neighbor(far, geohash::Direction::N);
+  resident.push_back(ChunkKey(far, kDay));
+  resident.push_back(ChunkKey(*ring.begin(), kDay.prev()));
+  for (const auto& chunk : resident) {
+    ChunkContribution contribution =
+        make_contribution(chunk.prefix_str(), 3, 1.0, chunk.bin());
+    graph.absorb(contribution, absorbed_at);
+  }
+
+  std::vector<ChunkKey> accessed;
+  for (const auto& gh : block) accessed.push_back(ChunkKey(gh, kDay));
+  const auto is_accessed = [&](const ChunkKey& k) {
+    return std::find(accessed.begin(), accessed.end(), k) != accessed.end();
+  };
+  // k per resident chunk, counted through the string codec.
+  std::map<ChunkKey, int> k;
+  for (const auto& gh : block) {
+    for (const auto& n : geohash::neighbors(gh)) ++k[ChunkKey(n, kDay)];
+    ++k[ChunkKey(gh, kDay.prev())];
+    ++k[ChunkKey(gh, kDay.next())];
+  }
+
+  std::size_t expected_updates = accessed.size();
+  std::map<ChunkKey, double> expected;
+  for (const auto& chunk : resident) {
+    Freshness f;
+    f.touch(f_inc, absorbed_at, config.freshness_half_life);
+    if (is_accessed(chunk)) {
+      f.touch(f_inc, now, config.freshness_half_life);
+    } else {
+      for (int i = 0; i < k[chunk]; ++i) {
+        f.touch(dispersed, now, config.freshness_half_life);
+        ++expected_updates;
+      }
+    }
+    expected[chunk] = f.at(now, config.freshness_half_life);
+  }
+
+  const std::size_t updates = graph.touch_region(kRes6, accessed, now);
+  EXPECT_EQ(updates, expected_updates);
+  EXPECT_EQ(updates, 9u + 32u + 18u);  // block, ring multiplicities, bins
+  for (const auto& chunk : resident)
+    EXPECT_EQ(graph.chunk_freshness(kRes6, chunk, now), expected[chunk])
+        << chunk.label() << " k=" << k[chunk];
+  EXPECT_EQ(graph.stats().freshness_touches, updates);
 }
 
 TEST(StashGraphTest, FreshnessTouchAndDispersion) {
