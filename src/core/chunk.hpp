@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fixed_vector.hpp"
 #include "common/hash.hpp"
 #include "core/freshness.hpp"
 #include "geo/cell_key.hpp"
@@ -27,11 +28,13 @@ struct ChunkKey {
   ChunkKey() = default;
   ChunkKey(std::string_view prefix_gh, const TemporalBin& bin)
       : prefix(geohash::pack(prefix_gh)), temporal(bin.pack()) {}
+  ChunkKey(std::uint64_t packed_prefix, std::uint32_t packed_bin)
+      : prefix(packed_prefix), temporal(packed_bin) {}
 
   [[nodiscard]] std::string prefix_str() const { return geohash::unpack(prefix); }
   [[nodiscard]] TemporalBin bin() const { return TemporalBin::unpack(temporal); }
   [[nodiscard]] BoundingBox bounds() const {
-    return geohash::decode(prefix_str());
+    return geohash::decode_packed(prefix);
   }
   [[nodiscard]] std::string label() const {
     return prefix_str() + "@" + bin().label();
@@ -79,16 +82,32 @@ struct ChunkKeyHash {
 
 /// The chunk a Cell belongs to.
 [[nodiscard]] inline ChunkKey chunk_of(const CellKey& cell, int chunk_precision) {
-  const std::string gh = cell.geohash_str();
-  const auto prefix_len = static_cast<std::size_t>(
-      chunk_spatial_precision(static_cast<int>(gh.size()), chunk_precision));
-  return ChunkKey(std::string_view(gh).substr(0, prefix_len), cell.bin());
+  const int precision = chunk_spatial_precision(
+      geohash::packed_precision(cell.spatial), chunk_precision);
+  return ChunkKey(geohash::ancestor_packed(cell.spatial, precision), cell.temporal);
 }
 
 /// Lateral neighborhood of a chunk: up to 8 spatial neighbors at the same
-/// bin plus the two temporal neighbors — the grey region of Fig 3 that
-/// receives dispersed freshness.
-[[nodiscard]] std::vector<ChunkKey> chunk_neighbors(const ChunkKey& key);
+/// bin (geohash::neighbors order) plus the previous and next bin — the grey
+/// region of Fig 3 that receives dispersed freshness.
+using ChunkNeighbors = FixedVector<ChunkKey, 10>;
+[[nodiscard]] ChunkNeighbors chunk_neighbors(const ChunkKey& key);
+
+/// Calls fn(key, summary) for each of `chunk`'s Cells that intersects
+/// box × time.  Every Cell of a chunk shares the chunk's bin and lies in
+/// its prefix's box, so the time test runs once per chunk and a chunk
+/// inside the box needs no per-Cell spatial test.
+template <typename Cells, typename Fn>
+void for_each_cell_within(const ChunkKey& chunk, const Cells& cells,
+                          const BoundingBox& box, const TimeRange& time,
+                          Fn&& fn) {
+  if (!chunk.bin().range().intersects(time)) return;
+  const BoundingBox chunk_box = chunk.bounds();
+  if (!chunk_box.intersects(box)) return;
+  const bool inside = box.contains(chunk_box);
+  for (const auto& [key, summary] : cells)
+    if (inside || key.bounds().intersects(box)) fn(key, summary);
+}
 
 /// One hierarchically finer level whose chunks jointly cover `chunk`: the
 /// candidate source of a §V-B roll-up synthesis.  `spatial` tells which

@@ -63,12 +63,11 @@ std::size_t StashGraph::collect_chunk(const Resolution& res, const ChunkKey& chu
   const auto it = level.find(chunk);
   if (it == level.end()) return 0;
   std::size_t appended = 0;
-  for (const auto& [key, summary] : it->second.cells) {
-    if (!key.bounds().intersects(box)) continue;
-    if (!key.time_range().intersects(time)) continue;
-    out.try_emplace(key, summary);
-    ++appended;
-  }
+  for_each_cell_within(chunk, it->second.cells, box, time,
+                       [&](const CellKey& key, const Summary& summary) {
+                         out.try_emplace(key, summary);
+                         ++appended;
+                       });
   return appended;
 }
 
@@ -151,14 +150,13 @@ std::size_t StashGraph::touch_region(const Resolution& res,
   const double dispersed =
       config_.freshness_increment * config_.dispersion_fraction;
   if (dispersed > 0.0) {
-    const std::unordered_map<ChunkKey, bool, ChunkKeyHash> accessed_set = [&] {
-      std::unordered_map<ChunkKey, bool, ChunkKeyHash> set;
-      for (const auto& c : accessed) set.emplace(c, true);
-      return set;
-    }();
+    std::vector<ChunkKey> accessed_sorted(accessed);
+    std::sort(accessed_sorted.begin(), accessed_sorted.end());
     for (const auto& chunk : accessed) {
       for (const auto& neighbor : chunk_neighbors(chunk)) {
-        if (accessed_set.contains(neighbor)) continue;
+        if (std::binary_search(accessed_sorted.begin(), accessed_sorted.end(),
+                               neighbor))
+          continue;
         const auto it = level.find(neighbor);
         if (it == level.end()) continue;
         it->second.freshness.touch(dispersed, now, config_.freshness_half_life);

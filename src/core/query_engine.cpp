@@ -29,15 +29,15 @@ QueryEngine::QueryEngine(StashGraph& graph, const GalileoStore& store)
 
 namespace {
 
-/// Appends `source` cells intersecting box × time into the response.
-void filter_into(const CellSummaryMap& source, const BoundingBox& box,
-                 const TimeRange& time, CellSummaryMap& out) {
-  for (const auto& [key, summary] : source) {
-    if (!key.bounds().intersects(box)) continue;
-    if (!key.time_range().intersects(time)) continue;
-    auto [it, inserted] = out.try_emplace(key, summary);
-    if (!inserted) it->second.merge(summary);
-  }
+/// Merges `chunk`'s `source` cells intersecting box × time into the response.
+void filter_into(const ChunkKey& chunk, const CellSummaryMap& source,
+                 const BoundingBox& box, const TimeRange& time,
+                 CellSummaryMap& out) {
+  for_each_cell_within(chunk, source, box, time,
+                       [&](const CellKey& key, const Summary& summary) {
+                         auto [it, inserted] = out.try_emplace(key, summary);
+                         if (!inserted) it->second.merge(summary);
+                       });
 }
 
 }  // namespace
@@ -72,11 +72,11 @@ std::optional<ChunkContribution> QueryEngine::synthesize(
       const auto* data = graph_.find_chunk(candidate.res, child_chunk);
       if (data == nullptr) continue;  // complete but empty region
       for (const auto& [child_key, summary] : data->cells) {
-        CellKey parent_key =
+        const CellKey parent_key =
             candidate.spatial
-                ? CellKey(*geohash::parent(child_key.geohash_str()),
-                          child_key.bin())
-                : CellKey(child_key.geohash_str(), *child_key.bin().parent());
+                ? CellKey(*geohash::parent_packed(child_key.spatial),
+                          child_key.temporal)
+                : CellKey(child_key.spatial, child_key.bin().parent()->pack());
         auto [it, inserted] = rolled.try_emplace(parent_key, summary);
         if (!inserted) it->second.merge(summary);
         ++merges;
@@ -134,7 +134,7 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
     if (!graph_.chunk_known(query.res, chunk)) {
       if (auto synth = synthesize(query.res, chunk, result.breakdown)) {
         CellSummaryMap synth_map(synth->cells.begin(), synth->cells.end());
-        filter_into(synth_map, clipped, query.time, out_cells);
+        filter_into(chunk, synth_map, clipped, query.time, out_cells);
         result.breakdown.cells_synthesized += synth->cells.size();
         ++result.breakdown.chunks_synthesized;
         result.fetched = std::move(*synth);
@@ -209,7 +209,7 @@ ChunkEvalResult QueryEngine::evaluate_chunk(std::string_view partition,
     auto [it, inserted] = local.try_emplace(key, summary);
     if (!inserted) it->second.merge(summary);
   }
-  filter_into(local, clipped, query.time, out_cells);
+  filter_into(chunk, local, clipped, query.time, out_cells);
   return result;
 }
 

@@ -25,6 +25,8 @@ struct CellKey {
   CellKey() = default;
   CellKey(std::string_view gh, const TemporalBin& bin)
       : spatial(geohash::pack(gh)), temporal(bin.pack()) {}
+  CellKey(std::uint64_t packed_gh, std::uint32_t packed_bin)
+      : spatial(packed_gh), temporal(packed_bin) {}
 
   [[nodiscard]] std::string geohash_str() const { return geohash::unpack(spatial); }
   [[nodiscard]] TemporalBin bin() const { return TemporalBin::unpack(temporal); }
@@ -33,7 +35,7 @@ struct CellKey {
     return {static_cast<int>(spatial >> 60), bin().res()};
   }
 
-  [[nodiscard]] BoundingBox bounds() const { return geohash::decode(geohash_str()); }
+  [[nodiscard]] BoundingBox bounds() const { return geohash::decode_packed(spatial); }
   [[nodiscard]] TimeRange time_range() const { return bin().range(); }
 
   [[nodiscard]] std::string label() const {

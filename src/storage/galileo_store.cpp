@@ -62,9 +62,17 @@ ScanResult GalileoStore::scan_partition(std::string_view partition,
     ++out.stats.blocks_touched;
     out.stats.records_scanned += records.size();
     out.stats.bytes_read += records.size() * kObservationBytes;
+    // A block's records come slot by slot, so consecutive records mostly
+    // share a timestamp and hence a bin.  bin == 0 means "none yet": a
+    // packed bin never is 0, as its month field is at least 1.
+    std::int64_t binned_ts = 0;
+    std::uint32_t bin = 0;
     for (const auto& obs : records) {
-      const CellKey key(geohash::encode(obs.position, res.spatial),
-                        TemporalBin::of_timestamp(obs.timestamp, res.temporal));
+      if (bin == 0 || obs.timestamp != binned_ts) {
+        bin = TemporalBin::of_timestamp(obs.timestamp, res.temporal).pack();
+        binned_ts = obs.timestamp;
+      }
+      const CellKey key(geohash::encode_packed(obs.position, res.spatial), bin);
       auto [it, inserted] = out.cells.try_emplace(key, kNamAttributeCount);
       it->second.add_observation(obs.values.data(), obs.values.size());
     }
