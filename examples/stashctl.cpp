@@ -62,7 +62,9 @@
 //     --metrics-json FILE   write the stash-metrics-v1 JSON export to FILE
 //                           ("-" for stdout)
 //     --trace ID|last       print the span tree of query ID (or of the last
-//                           run's query) recorded against the sim clock
+//                           run's query) recorded against the sim clock; a
+//                           non-numeric ID is a usage error (exit 2), an ID
+//                           past the last query issued exits 1
 //
 // Example:
 //   ./build/examples/stashctl 36 40 -102 -94 --repeat 3 --json
@@ -73,6 +75,7 @@
 //   ./build/examples/stashctl 36 40 -102 -94 --metrics --trace last
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -108,6 +111,16 @@ namespace {
                "<lat_min> <lat_max> <lng_min> <lng_max>\n",
                argv0);
   std::exit(requested ? 0 : 2);
+}
+
+/// A query id for --trace: decimal digits only; nullopt on anything else,
+/// including a sign or an id that overflows 64 bits.
+std::optional<std::uint64_t> parse_query_id(const std::string& spec) {
+  std::uint64_t id = 0;
+  const char* end = spec.data() + spec.size();
+  const auto [ptr, ec] = std::from_chars(spec.data(), end, id);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return id;
 }
 
 /// "fe,0,1|2,3" -> {{kFrontendNode, 0, 1}, {2, 3}}; empty on malformed.
@@ -319,7 +332,11 @@ int main(int argc, char** argv) {
       if (metrics_json_path.empty()) usage(argv[0]);
     } else if (arg == "--trace") {
       trace_spec = next();
-      if (trace_spec.empty()) usage(argv[0]);
+      if (trace_spec != "last" && !parse_query_id(trace_spec)) {
+        std::fprintf(stderr, "%s: --trace wants a query id or 'last', got '%s'\n",
+                     argv[0], trace_spec.c_str());
+        usage(argv[0]);
+      }
     } else if (!arg.empty() &&
                (std::isdigit(static_cast<unsigned char>(arg[0])) ||
                 arg[0] == '-')) {
@@ -565,10 +582,16 @@ int main(int argc, char** argv) {
     }
   }
   if (!trace_spec.empty()) {
-    const std::uint64_t trace_id =
-        trace_spec == "last"
-            ? last.stats.query_id
-            : static_cast<std::uint64_t>(std::atoll(trace_spec.c_str()));
+    const std::uint64_t trace_id = trace_spec == "last"
+                                       ? last.stats.query_id
+                                       : *parse_query_id(trace_spec);
+    if (trace_id > last.stats.query_id) {
+      std::fprintf(stderr,
+                   "%s: query %llu was never issued (the last was query %llu)\n",
+                   argv[0], static_cast<unsigned long long>(trace_id),
+                   static_cast<unsigned long long>(last.stats.query_id));
+      return 1;
+    }
     const auto trace = cluster.trace(trace_id);
     if (!trace.has_value()) {
       std::fprintf(stderr,
