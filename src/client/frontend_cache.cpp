@@ -42,11 +42,14 @@ FrontendLookup FrontendCache::lookup(const AggregationQuery& query) const {
   // min/max union across the antimeridian seam degenerates: chunks at
   // +179° and -179° union into [-179, 179] — a near-global fetch box.
   std::array<std::optional<BoundingBox>, 2> band_union;
+  // Cells are filtered against their chunk's band: a wrap-encoded area
+  // (lng_max > 180) contains no cell west of the seam.
+  const auto bands = lng_bands(query.area);
   for (const auto& covered : chunks_of(query)) {
     ++out.chunks_probed;
     if (graph_.chunk_complete(query.res, covered.chunk)) {
-      graph_.collect_chunk(query.res, covered.chunk, query.area, query.time,
-                           out.cells);
+      graph_.collect_chunk(query.res, covered.chunk, bands[covered.band],
+                           query.time, out.cells);
     } else {
       out.missing_chunks.push_back(covered.chunk);
       // Chunk-aligned: fetching whole chunks lets absorb() mark them

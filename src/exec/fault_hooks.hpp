@@ -13,8 +13,10 @@
 // Determinism: every decision is a pure function of (seed, task sequence
 // number) via splitmix64 — no shared RNG state, so the same plan injects
 // the same faults at the same tasks regardless of thread count, ring
-// placement, or OS scheduling.  Task sequence numbers are assigned on the
-// (single-threaded) submit path, so they are reproducible run to run.
+// placement, or OS scheduling.  Each batch reserves one range of task
+// sequence numbers on its (single-threaded) submit path and chunk i of
+// the batch's canonical order draws first + i, whichever thread claims
+// it, so the numbers are reproducible run to run.
 #pragma once
 
 #include <cstdint>

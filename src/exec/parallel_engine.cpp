@@ -1,5 +1,6 @@
 #include "exec/parallel_engine.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <set>
 #include <utility>
@@ -42,7 +43,7 @@ class TokenProbe final : public CancelProbe {
 }  // namespace
 
 /// Everything one batch fans out over, owned by shared_ptr: the submitter
-/// may return at its deadline while straggler tasks still hold a
+/// may return at its deadline while straggler helpers still hold a
 /// reference, so nothing here can live on the submitting thread's stack.
 struct ParallelQueryEngine::BatchState {
   struct Part {
@@ -63,14 +64,22 @@ struct ParallelQueryEngine::BatchState {
   std::vector<std::size_t> part_of;
   std::vector<ChunkOutcome> outcomes;
   std::unique_ptr<concurrency::catomic<std::uint32_t>[]> chunk_state;
+  /// Fault-plan sequence number of chunk 0; chunk i draws first_seq + i.
+  std::uint64_t first_seq = 0;
   concurrency::CancellationToken token;
   concurrency::WakeupGate done;
+  /// Next unclaimed index into the canonical chunk list (partition order,
+  /// then plan order); every claimer stops once it passes size().
+  concurrency::catomic<std::uint64_t> cursor;
+  /// Chunks not yet landed plus helpers still in the pool.  The submitter
+  /// reads the outcomes only after an acquire load sees 0.
   concurrency::catomic<std::uint64_t> remaining;
 
   BatchState(AggregationQuery q, EvalMode m, std::vector<Part> p)
       : query(std::move(q)),
         mode(m),
         parts(std::move(p)),
+        cursor(0, "exec.batch_cursor"),
         remaining(0, "exec.batch_remaining") {
     std::size_t n = 0;
     for (auto& part : parts) {
@@ -84,10 +93,19 @@ struct ParallelQueryEngine::BatchState {
     outcomes.resize(n);
     chunk_state =
         std::make_unique<concurrency::catomic<std::uint32_t>[]>(n);
-    remaining.store(n);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return outcomes.size(); }
+
+  /// Subtracts `count` landed chunks/departed helpers; the thread that
+  /// takes `remaining` to 0 wakes the submitter.  Release pairs with the
+  /// submitter's acquire: everything a claimer wrote is visible once it
+  /// reads 0.
+  void land(std::uint64_t count) {
+    if (count != 0 &&
+        remaining.fetch_sub(count, std::memory_order_release) == count)
+      done.notify_all();
+  }
 };
 
 ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
@@ -105,15 +123,15 @@ ParallelQueryEngine::ParallelQueryEngine(StashGraph& graph,
 
 ParallelQueryEngine::~ParallelQueryEngine() = default;
 
-void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
-                                    std::size_t index,
-                                    std::uint64_t task_seq) const {
-  BatchState::ChunkOutcome& out = state->outcomes[index];
+void ParallelQueryEngine::run_chunk(BatchState& state,
+                                    std::size_t index) const {
+  BatchState::ChunkOutcome& out = state.outcomes[index];
   std::uint32_t final_state = kChunkDone;
-  if (state->token.cancelled()) {
+  if (state.token.cancelled()) {
     final_state = kChunkCancelled;
   } else {
     try {
+      const std::uint64_t task_seq = state.first_seq + index;
       const FaultDecision fault = fault_decision(config_.faults, task_seq);
       if (fault.throw_exception) throw InjectedFault(task_seq);
       if (fault.stall)
@@ -121,13 +139,13 @@ void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
       else if (fault.delay)
         fault_busy_spin(config_.faults.task_delay_spins);
 
-      const BatchState::Part& part = state->parts[state->part_of[index]];
+      const BatchState::Part& part = state.parts[state.part_of[index]];
       const ChunkKey& chunk = part.plan.chunks[index - part.first];
-      const TokenProbe probe(state->token);
+      const TokenProbe probe(state.token);
       concurrency::RwSpinReaderLock lock(graph_lock_);
       out.result =
-          engine_.evaluate_chunk(part.partition, state->query,
-                                 part.plan.clipped, chunk, state->mode,
+          engine_.evaluate_chunk(part.partition, state.query,
+                                 part.plan.clipped, chunk, state.mode,
                                  out.cells, &probe);
       if (out.result.cancelled) {
         out.cells.clear();  // a half-scanned chunk is not an honest answer
@@ -143,10 +161,22 @@ void ParallelQueryEngine::run_chunk(const std::shared_ptr<BatchState>& state,
   else if (final_state == kChunkFailed)
     task_exceptions_.fetch_add(1);
   // Release pairs with the collector's acquire: a chunk observed done has
-  // its cells/result fully visible.
-  state->chunk_state[index].store(final_state, std::memory_order_release);
-  if (state->remaining.fetch_sub(1, std::memory_order_release) == 1)
-    state->done.notify_all();
+  // its cells/result fully visible (the deadline path reads chunk states
+  // without waiting for `remaining`).
+  state.chunk_state[index].store(final_state, std::memory_order_release);
+}
+
+std::uint64_t ParallelQueryEngine::run_claims(BatchState& state,
+                                              std::uint64_t deadline_ns) const {
+  const std::size_t n = state.size();
+  std::uint64_t ran = 0;
+  while (deadline_ns == 0 || host_now_ns() < deadline_ns) {
+    const std::uint64_t index = state.cursor.fetch_add(1);
+    if (index >= n) break;
+    run_chunk(state, index);
+    ++ran;
+  }
+  return ran;
 }
 
 void ParallelQueryEngine::run_batch(const std::shared_ptr<BatchState>& state,
@@ -154,39 +184,38 @@ void ParallelQueryEngine::run_batch(const std::shared_ptr<BatchState>& state,
   const std::size_t n = state->size();
   if (n == 0) return;
 
-  const bool timed = deadline_ns != 0;
-  const auto expired = [deadline_ns] { return host_now_ns() >= deadline_ns; };
+  // One reserved sequence range per batch: chunk i draws the fault plan at
+  // first_seq + i whichever thread claims it, so a plan injects the same
+  // faults at the same chunks at every thread count.
+  state->first_seq = task_seq_.fetch_add(n);
 
-  bool expired_in_submit = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    // The deadline binds during submission too: an inline-shed chunk can
-    // burn real time, so once the budget is gone the token is cancelled
-    // and the rest of the batch takes run_chunk's fast bail-out path —
-    // every chunk still decrements `remaining` exactly once.
-    if (timed && !expired_in_submit && expired()) {
-      if (state->token.cancel(concurrency::CancelReason::kDeadline,
-                              deadline_ns))
-        deadline_exceeded_.fetch_add(1);
-      expired_in_submit = true;
-    }
-    const std::uint64_t seq = task_seq_.fetch_add(1);
-    concurrency::WorkerPool::Task task = [this, state, i, seq] {
-      run_chunk(state, i, seq);
+  // At most one helper per worker, and none the submitter would out-run
+  // (it claims too).  Each helper is counted in `remaining` before it is
+  // queued, so an untimed batch returns only after every helper has left
+  // the pool.  A refused push means the rings are busy: queue no more,
+  // the submitter's own claims cover the rest.
+  const std::size_t helpers = std::min(pool_.worker_count(), n - 1);
+  state->remaining.store(n + helpers);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    concurrency::WorkerPool::Task task = [this, state] {
+      state->land(run_claims(*state, 0) + 1);  // its chunks + itself
     };
-    if (expired_in_submit) {
-      task();  // token already cancelled: records kChunkCancelled, ~free
-      continue;
-    }
     if (!pool_.try_submit(task)) {
-      // Every ring full: bounded backpressure means the submitter runs
-      // the chunk inline instead of spinning on the rings (counted as
-      // submit_shed in the pool stats).
-      task();
+      state->land(helpers - h);
+      break;
     }
   }
 
-  // Park until the last chunk lands or the deadline fires (prepare /
-  // re-check / commit — the gate protocol proven in tests/mc/).
+  const bool timed = deadline_ns != 0;
+  const auto expired = [deadline_ns] { return host_now_ns() >= deadline_ns; };
+
+  // The submitter claims like any helper, checking the deadline between
+  // its claims.
+  state->land(run_claims(*state, deadline_ns));
+
+  // Park until the helpers have landed their chunks and left, or the
+  // deadline fires (prepare / re-check / commit — the gate protocol
+  // proven in tests/mc/).
   while (state->remaining.load(std::memory_order_acquire) != 0) {
     if (timed && expired()) break;
     const concurrency::WakeupGate::Ticket ticket = state->done.prepare_wait();
@@ -204,22 +233,27 @@ void ParallelQueryEngine::run_batch(const std::shared_ptr<BatchState>& state,
   if (state->remaining.load(std::memory_order_acquire) != 0) {
     // Deadline fired with chunks outstanding: cancel cooperatively and
     // return.  Workers probe the token between chunks and between
-    // per-day scans; stragglers decrement against the shared state after
-    // we are gone.  (cancel() is idempotent-by-claim: if the submit loop
-    // already cancelled, this neither re-publishes nor double-counts.)
+    // per-day scans; stragglers land against the shared state after we
+    // are gone.  The claims nobody made yet take run_chunk's fast
+    // cancelled path here, so every chunk still lands exactly once.
     if (state->token.cancel(concurrency::CancelReason::kDeadline,
                             deadline_ns))
       deadline_exceeded_.fetch_add(1);
+    state->land(run_claims(*state, 0));
   }
 }
 
 Evaluation ParallelQueryEngine::collect(BatchState& state,
                                         BatchReport& report) const {
   report.chunks_total = state.size();
-  Evaluation total;
-  for (const BatchState::Part& part : state.parts) {
+  // First pass: classify every chunk, find the whole partitions and size
+  // the answer.  A chunk observed done stays done, so the verdicts hold
+  // for the second pass even while deadline stragglers are still landing.
+  std::vector<char> whole(state.parts.size(), 1);
+  std::size_t cells = 0;
+  for (std::size_t pi = 0; pi < state.parts.size(); ++pi) {
+    const BatchState::Part& part = state.parts[pi];
     const std::size_t count = part.plan.chunks.size();
-    bool whole = true;
     for (std::size_t j = 0; j < count; ++j) {
       switch (state.chunk_state[part.first + j].load(
           std::memory_order_acquire)) {
@@ -230,44 +264,53 @@ Evaluation ParallelQueryEngine::collect(BatchState& state,
           ++report.chunks_failed;
           if (!report.first_error)
             report.first_error = state.outcomes[part.first + j].error;
-          whole = false;
+          whole[pi] = 0;
           break;
-        case kChunkPending:   // still queued/running: will cancel
+        case kChunkPending:   // claimed by a straggler, or never claimed
         case kChunkCancelled:
         default:
           ++report.chunks_cancelled;
-          whole = false;
+          whole[pi] = 0;
           break;
       }
     }
-    if (!whole) {
+    if (!whole[pi]) {
       // No half-partition answers: withhold every cell of an incomplete
       // partition and name it, mirroring the corrupt-block taxonomy.
       report.incomplete_partitions.push_back(part.partition);
       continue;
     }
-    // Per-partition assembly in canonical chunk order, then the same
-    // partition-order merge into the total as QueryEngine::evaluate.
-    Evaluation eval;
+    for (std::size_t j = 0; j < count; ++j)
+      cells += state.outcomes[part.first + j].cells.size();
+  }
+
+  // Second pass: every whole partition's chunks straight into the answer,
+  // in the same partition/chunk order QueryEngine::evaluate merges them.
+  Evaluation total;
+  total.cells.reserve(cells);
+  for (std::size_t pi = 0; pi < state.parts.size(); ++pi) {
+    if (!whole[pi]) continue;
+    const BatchState::Part& part = state.parts[pi];
+    EvalBreakdown breakdown;
     std::set<std::int64_t> days_scanned;
-    for (std::size_t j = 0; j < count; ++j) {
+    for (std::size_t j = 0; j < part.plan.chunks.size(); ++j) {
       BatchState::ChunkOutcome& out = state.outcomes[part.first + j];
-      eval.touched_chunks.push_back(part.plan.chunks[j]);
-      eval.breakdown += out.result.breakdown;
+      total.touched_chunks.push_back(part.plan.chunks[j]);
+      breakdown += out.result.breakdown;
       for (auto& [key, summary] : out.cells) {
-        auto [it, inserted] = eval.cells.try_emplace(key, std::move(summary));
+        auto [it, inserted] = total.cells.try_emplace(key, std::move(summary));
         if (!inserted) it->second.merge(summary);
       }
       if (out.result.fetched)
-        eval.fetched.push_back(std::move(*out.result.fetched));
-      eval.corrupt_blocks.insert(eval.corrupt_blocks.end(),
-                                 out.result.corrupt_blocks.begin(),
-                                 out.result.corrupt_blocks.end());
+        total.fetched.push_back(std::move(*out.result.fetched));
+      total.corrupt_blocks.insert(total.corrupt_blocks.end(),
+                                  out.result.corrupt_blocks.begin(),
+                                  out.result.corrupt_blocks.end());
       days_scanned.insert(out.result.days_scanned.begin(),
                           out.result.days_scanned.end());
     }
-    eval.breakdown.scan.blocks_touched = days_scanned.size();
-    total.merge(std::move(eval));
+    breakdown.scan.blocks_touched = days_scanned.size();
+    total.breakdown += breakdown;
   }
   return total;
 }

@@ -26,9 +26,18 @@
 // Locking: workers take the RwSpinlock shared while evaluating (const
 // graph reads + Galileo scans); absorb() — the maintenance pass — and
 // with_exclusive_graph() — every other write by the graph's owner — take
-// it exclusive.  Tasks flow through the WorkerPool's MpmcRings; the
-// submitting thread parks on a per-batch WakeupGate until the last chunk
-// lands or the deadline fires (commit_wait_until).
+// it exclusive.
+//
+// Work units: a batch lays its chunks out in one canonical list
+// (partition order, then plan order) behind a claim cursor.  It queues at
+// most min(worker_count(), chunks - 1) helper tasks on the WorkerPool's
+// MpmcRings; each helper, and the submitting thread itself, claims one
+// chunk at a time until the cursor passes the end — a query pays at most
+// worker_count() pool handoffs, not one per chunk.  The submitter parks on
+// a per-batch WakeupGate until every chunk has landed and every helper has
+// left the pool, or the deadline fires (commit_wait_until).  A batch
+// reserves its fault-plan sequence numbers as one range, so chunk i draws
+// fault_decision(first + i) whichever thread runs it.
 #pragma once
 
 #include <cstddef>
@@ -119,7 +128,7 @@ class ParallelQueryEngine {
                                               const ExecOptions& options,
                                               BatchReport& report) const;
 
-  /// Whole-query evaluation: every (partition, chunk) fans out at once;
+  /// Whole-query evaluation: every (partition, chunk) joins one batch;
   /// partitions are merged in the same canonical covering order as
   /// QueryEngine::evaluate.
   [[nodiscard]] Evaluation evaluate(const AggregationQuery& query,
@@ -164,14 +173,17 @@ class ParallelQueryEngine {
  private:
   struct BatchState;
 
-  /// Fan out the batch and wait — until the last chunk lands, or until
-  /// the deadline fires (then the token is cancelled and the wait ends).
+  /// Queue the batch's helpers, claim chunks on the calling thread too,
+  /// and wait — until every chunk has landed and every helper has left
+  /// the pool, or until the deadline fires (then the token is cancelled
+  /// and the wait ends).
   void run_batch(const std::shared_ptr<BatchState>& state,
                  std::uint64_t deadline_ns) const;
-  /// One chunk task's body (worker thread, or inline on the submitter
-  /// when every ring is full — the bounded-backpressure shed path).
-  void run_chunk(const std::shared_ptr<BatchState>& state, std::size_t index,
-                 std::uint64_t task_seq) const;
+  /// Claim → run_chunk until the cursor passes the last chunk, or (for a
+  /// non-zero deadline) until it fires; returns how many chunks it ran.
+  std::uint64_t run_claims(BatchState& state, std::uint64_t deadline_ns) const;
+  /// One chunk's body, on whichever thread claimed it.
+  void run_chunk(BatchState& state, std::size_t index) const;
   /// Merge completed whole partitions into an Evaluation; report the rest.
   [[nodiscard]] Evaluation collect(BatchState& state,
                                    BatchReport& report) const;

@@ -224,9 +224,12 @@ class Engine {
   }
 
   [[nodiscard]] std::string thread_label() const {
-    return tls_tid == kControllerThread
-               ? std::string("C ")
-               : "T" + std::to_string(tls_tid);
+    if (tls_tid == kControllerThread) return "C ";
+    // Appended rather than "T" + to_string(...): GCC 12 reports a false
+    // -Wrestrict on that operator+ in optimised builds.
+    std::string label = "T";
+    label += std::to_string(tls_tid);
+    return label;
   }
 
  private:

@@ -168,6 +168,37 @@ TEST(FrontendCacheTest, AntimeridianAbsorbServesBothSeamSides) {
   EXPECT_TRUE(again.missing_chunks.empty());
 }
 
+TEST(FrontendCacheTest, AntimeridianLookupServesCellsFromBothSides) {
+  // Resident chunks on either side of ±180° must serve their Cells, not
+  // merely count as present: each chunk's Cells are filtered against its
+  // own longitude band, never the wrap-encoded query area.  One s5/Day
+  // Cell per geohash of the chunk-aligned area: 72 x 64 on each side.
+  const TemporalBin day(TemporalRes::Day, 2015, 2, 2);
+  AggregationQuery query{{-19.3359375, -16.171875, 177.1875, 182.8125},
+                         day.range(),
+                         {5, TemporalRes::Day}};
+  CellSummaryMap cells;
+  for (const BoundingBox& band : lng_bands(query.area)) {
+    for (const auto& gh : geohash::covering(band, query.res.spatial)) {
+      Summary summary(1);
+      const double value = 1.0;
+      summary.add_observation(&value, 1);
+      cells.emplace(CellKey(gh, day), summary);
+    }
+  }
+  ASSERT_EQ(cells.size(), 2u * 4608u);
+  FrontendCache cache;
+  cache.absorb(query, cells, 0);
+
+  const FrontendLookup again = cache.lookup(query);
+  EXPECT_TRUE(again.missing_chunks.empty());
+  std::size_t west = 0, east = 0;
+  for (const auto& [key, summary] : again.cells)
+    ++(key.bounds().center().lng < 0.0 ? west : east);
+  EXPECT_EQ(west, 4608u);
+  EXPECT_EQ(east, 4608u);
+}
+
 TEST(FrontendCacheTest, InvalidQueryThrows) {
   FrontendCache cache;
   AggregationQuery bad = kansas_query();

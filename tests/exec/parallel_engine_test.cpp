@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exec/wall_clock.hpp"
@@ -170,6 +171,39 @@ TEST_F(ParallelEngineTest, ReportsWorkerTopology) {
   EXPECT_EQ(par.queue_depth(), 0u);  // batch join drained everything
   for (std::size_t i = 0; i < par.worker_count(); ++i)
     EXPECT_EQ(par.worker_queue_depth(i), 0u);
+}
+
+// A batch pays at most one pool handoff per worker, not one per chunk: the
+// helpers claim chunks off a shared cursor beside the submitter, nothing
+// sheds back onto the submitter, and no helper is left queued on return.
+// Cold (scans) and warm (cache hits) passes of one multi-partition query.
+TEST_F(ParallelEngineTest, ClaimedBatchPaysAtMostOneHandoffPerWorker) {
+  const TemporalBin day(TemporalRes::Day, 2015, 2, 2);
+  const AggregationQuery query{
+      {36.0, 40.0, -102.0, -94.0}, day.range(), {5, TemporalRes::Day}};
+  StashGraph oracle_graph(graph_config());
+  QueryEngine oracle(oracle_graph, store_);
+  const Evaluation want = oracle.evaluate(query);
+  ASSERT_GT(want.breakdown.chunks_total, 8u);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StashGraph graph(graph_config());
+    ParallelQueryEngine par(graph, store_, exec_config(threads, 16));
+    for (const char* pass : {"cold", "warm"}) {
+      SCOPED_TRACE(pass);
+      const concurrency::WorkerStats before = par.total_stats();
+      const Evaluation got = par.evaluate(query);
+      EXPECT_EQ(par.queue_depth(), 0u);
+      const concurrency::WorkerStats after = par.total_stats();
+      EXPECT_LE(after.executed - before.executed, par.worker_count());
+      EXPECT_EQ(after.submit_shed, before.submit_shed);
+      EXPECT_EQ(exec::answer_digest(got.cells, 0),
+                exec::answer_digest(want.cells, 0));
+      EXPECT_EQ(got.breakdown.chunks_total, want.breakdown.chunks_total);
+      (void)par.absorb(got, query.res, 0);
+    }
+  }
 }
 
 }  // namespace
